@@ -1,6 +1,6 @@
-"""Sweep-level performance: executor backends, recording, and batching.
+"""Sweep-level performance: executor backends and batching.
 
-Four questions, answered with tables and a JSON baseline
+Three questions, answered with tables and a JSON baseline
 (``BENCH_sweep.json``, repo root):
 
 1. Does the process-pool executor pay for itself?  A 4-worker sweep over
@@ -11,9 +11,8 @@ Four questions, answered with tables and a JSON baseline
    the table still reports honestly).  The executor is created once and
    reused across the timed repeats, so the number reflects the persistent
    pool, not per-call process spawning.
-2. What does metrics-only recording save at sweep scale?
-3. What do the cells cost per second, for capacity planning.
-4. What does the vectorized lockstep backend buy?  A width sweep
+2. What do the cells cost per second, for capacity planning.
+3. What does the vectorized lockstep backend buy?  A width sweep
    (1/64/1024) over the table-compilable relay grid, with the serial
    engine on the same grid as the reference — the ≥100× claim is gated
    here against the serial universal-grid figure from the same run.
@@ -41,7 +40,6 @@ from repro.analysis.runner import merge_telemetry, sweep
 from repro.analysis.tables import format_table
 from repro.comm.codecs import codec_family
 from repro.core.batch import HAVE_NUMPY
-from repro.core.execution import FULL_RECORDING, METRICS_RECORDING
 from repro.machines.tabular import (
     coded_server_class,
     relay_decoder_class,
@@ -86,11 +84,11 @@ def relay_grid(n_cells):
     return [RELAY_SERVERS[i % len(RELAY_SERVERS)] for i in range(n_cells)]
 
 
-def run_sweep(executor=None, recording=FULL_RECORDING, telemetry=False):
+def run_sweep(executor=None, telemetry=False):
     return sweep(
         universal(), SERVERS, GOAL,
         seeds=SEEDS, max_rounds=HORIZON,
-        telemetry=telemetry, recording=recording, executor=executor,
+        telemetry=telemetry, executor=executor,
     )
 
 
@@ -122,7 +120,7 @@ def _update_baseline(fields):
     return payload
 
 
-def test_sweep_backends_and_recording():
+def test_sweep_backends():
     cores = os.cpu_count() or 1
     cells = len(SERVERS)
 
@@ -134,33 +132,24 @@ def test_sweep_backends_and_recording():
         parallel_s, parallel = timed(lambda: run_sweep(executor=executor))
     finally:
         executor.close()
-    metrics_s, lean = timed(lambda: run_sweep(recording=METRICS_RECORDING))
 
-    # Correctness before speed: every backend/policy agrees exactly.
+    # Correctness before speed: every backend agrees exactly.
     assert parallel == serial, "process pool changed sweep results"
-    assert lean == serial, "metrics recording changed sweep results"
     assert serial.universal_success
 
     speedup = serial_s / parallel_s
-    recording_gain = serial_s / metrics_s
     rows = [
-        ["serial / full", f"{serial_s:.3f}", f"{cells / serial_s:.1f}", "1.00"],
+        ["serial", f"{serial_s:.3f}", f"{cells / serial_s:.1f}", "1.00"],
         [
-            f"process×{WORKERS} / full",
+            f"process×{WORKERS}",
             f"{parallel_s:.3f}",
             f"{cells / parallel_s:.1f}",
             f"{speedup:.2f}",
         ],
-        [
-            "serial / metrics",
-            f"{metrics_s:.3f}",
-            f"{cells / metrics_s:.1f}",
-            f"{recording_gain:.2f}",
-        ],
     ]
     emit(
         format_table(
-            ["backend / recording", "seconds", "cells/s", "speedup"],
+            ["backend", "seconds", "cells/s", "speedup"],
             rows,
             title=f"sweep throughput ({cells} cells, horizon={HORIZON}, "
                   f"{cores} cores)",
@@ -178,8 +167,6 @@ def test_sweep_backends_and_recording():
             "cells_per_s": round(cells / serial_s, 3),
             "parallel_s": round(parallel_s, 4),
             "parallel_speedup": round(speedup, 3),
-            "metrics_recording_s": round(metrics_s, 4),
-            "metrics_recording_speedup": round(recording_gain, 3),
         }
     )
 
@@ -307,7 +294,7 @@ def main(argv=None):
         help="append the fresh figures to this bench-history JSONL file",
     )
     args = parser.parse_args(argv)
-    test_sweep_backends_and_recording()
+    test_sweep_backends()
     test_batched_lockstep_throughput()
     test_batch_process_composes()
     if args.record is not None:

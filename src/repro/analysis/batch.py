@@ -50,6 +50,7 @@ from repro.core.batch import (
     run_execution_batch,
     run_tabular_batch,
 )
+from repro.core.execution import METRICS_RECORDING
 from repro.obs.tracer import Tracer
 
 #: Default lockstep width: big enough to amortise per-round numpy/Python
@@ -227,7 +228,7 @@ def _run_scalar_chunk(
                     world=task.goal.world,
                     seed=seed,
                     max_rounds=task.max_rounds,
-                    recording=task.recording,
+                    recording=METRICS_RECORDING,
                     channel=task.channel,
                     tracer=tracer,
                 )

@@ -49,11 +49,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from repro.analysis.runner import CellTask, SweepCell
-from repro.core.execution import (
-    FULL_RECORDING,
-    FaultyChannelLike,
-    RecordingPolicy,
-)
+from repro.core.execution import FaultyChannelLike
 from repro.core.goals import Goal
 from repro.core.strategy import ServerStrategy, UserStrategy
 from repro.errors import ExecutionError
@@ -135,7 +131,6 @@ class CellRef:
     seeds: Tuple[int, ...]
     max_rounds: int
     telemetry: bool
-    recording: RecordingPolicy = FULL_RECORDING
 
 
 def build_sweep_cast(
@@ -171,7 +166,6 @@ def build_sweep_cast(
             seeds=task.seeds,
             max_rounds=task.max_rounds,
             telemetry=task.telemetry,
-            recording=task.recording,
         )
         for task in tasks
     ]
@@ -224,7 +218,6 @@ def run_cast_chunk(
             seeds=ref.seeds,
             max_rounds=ref.max_rounds,
             telemetry=ref.telemetry,
-            recording=ref.recording,
             channel=None if ref.channel is None else cast.channels[ref.channel],
         )
         for ref in refs

@@ -17,10 +17,15 @@ tracer is per-cell, a parallel sweep aggregates into exactly the totals a
 serial sweep produces; :func:`merge_telemetry` further folds cell totals
 into sweep-wide totals (see ``docs/OBSERVABILITY.md``).
 
-``recording=`` selects the engine's retention policy for every run in the
-sweep; metric-only sweeps should pass
-:data:`~repro.core.execution.METRICS_RECORDING` to skip per-round history
-allocations (see ``docs/PERFORMANCE.md``).
+Every run of a sweep executes under
+:data:`~repro.core.execution.METRICS_RECORDING`: a cell keeps only its
+:class:`RunMetrics`, and :func:`~repro.analysis.metrics.collect_metrics`
+reads nothing the lean policy drops, so per-round histories would be built
+only to be thrown away (see ``docs/PERFORMANCE.md``).  Callers that read
+histories use :func:`~repro.core.execution.run_execution`,
+:class:`~repro.core.stepper.ExecutionStepper` or
+:func:`~repro.obs.ledger.record_run`, whose default stays
+:data:`~repro.core.execution.FULL_RECORDING`.
 
 ``ledger_dir=`` writes run provenance — one :class:`repro.obs.ledger.RunManifest`
 per cell plus a linking sweep manifest — after the cells return, so every
@@ -51,9 +56,8 @@ if TYPE_CHECKING:
 
 from repro.analysis.metrics import RunMetrics, collect_metrics, success_rate
 from repro.core.execution import (
-    FULL_RECORDING,
+    METRICS_RECORDING,
     FaultyChannelLike,
-    RecordingPolicy,
     run_execution,
 )
 from repro.core.goals import Goal
@@ -195,14 +199,13 @@ class CellTask:
     seeds: Tuple[int, ...]
     max_rounds: int
     telemetry: bool
-    recording: RecordingPolicy = FULL_RECORDING
     channel: Optional[FaultyChannelLike] = None
 
     def run(self) -> SweepCell:
         """Execute the cell in the current process."""
         return _run_cell(
             self.user, self.server, self.goal, self.seeds,
-            self.max_rounds, self.telemetry, self.recording, self.channel,
+            self.max_rounds, self.telemetry, self.channel,
         )
 
 
@@ -213,7 +216,6 @@ def _run_cell(
     seeds: Sequence[int],
     max_rounds: int,
     telemetry: bool,
-    recording: RecordingPolicy = FULL_RECORDING,
     channel: Optional[FaultyChannelLike] = None,
 ) -> SweepCell:
     """One (user, server) cell: all seeds, optional shared-tracer telemetry."""
@@ -232,7 +234,7 @@ def _run_cell(
             execution = run_execution(
                 user, server, goal.world,
                 max_rounds=max_rounds, seed=seed, tracer=tracer,
-                recording=recording, channel=channel,
+                recording=METRICS_RECORDING, channel=channel,
             )
             runs.append(collect_metrics(execution, goal))
     finally:
@@ -257,7 +259,6 @@ def sweep(
     seeds: Sequence[int] = (0, 1, 2),
     max_rounds: int = 2000,
     telemetry: bool = False,
-    recording: RecordingPolicy = FULL_RECORDING,
     executor: Optional["SweepExecutorLike"] = None,
     batch: Optional[int] = None,
     faults: Optional[Sequence[Optional[FaultyChannelLike]]] = None,
@@ -286,9 +287,10 @@ def sweep(
 
     ``ledger_dir`` writes run provenance (see :mod:`repro.obs.ledger`):
     one ``cell-NNN-<run_id>.json`` manifest per cell — seeds, goal, user,
-    server, channel (fault schedule included), recording policy, rounds,
-    wall/CPU time — plus a top-level ``sweep.json`` linking them, so a
-    directory of sweep outputs is self-describing.  Ledger writing
+    server, channel (fault schedule included), recording policy (always
+    ``"metrics"``), rounds, wall/CPU time — plus a top-level
+    ``sweep.json`` linking them, so a directory of sweep outputs is
+    self-describing.  Ledger writing
     happens after the cells return and never changes any result.
 
     ``certify=True`` (requires ``ledger_dir``) re-checks the written
@@ -304,7 +306,7 @@ def sweep(
         CellTask(
             index=i * len(channels) + j, user=user, server=server, goal=goal,
             seeds=tuple(seeds), max_rounds=max_rounds,
-            telemetry=telemetry, recording=recording, channel=chan,
+            telemetry=telemetry, channel=chan,
         )
         for i, server in enumerate(servers)
         for j, chan in enumerate(channels)
@@ -371,7 +373,7 @@ def _write_sweep_ledger(
             user=cell.user_name,
             server=cell.server_name,
             channel=cell.channel_name,
-            recording=task.recording.label,
+            recording=METRICS_RECORDING.label,
             seeds=task.seeds,
             max_rounds=task.max_rounds,
             rounds=sum(m.rounds for m in cell.runs),
@@ -407,7 +409,6 @@ def sweep_goals(
     seeds: Sequence[int] = (0, 1),
     max_rounds: int = 2000,
     telemetry: bool = False,
-    recording: RecordingPolicy = FULL_RECORDING,
     executor: Optional["SweepExecutorLike"] = None,
     batch: Optional[int] = None,
 ) -> List[SweepCell]:
@@ -422,7 +423,7 @@ def sweep_goals(
         CellTask(
             index=i, user=user_factory(), server=server, goal=goal,
             seeds=tuple(seeds), max_rounds=max_rounds,
-            telemetry=telemetry, recording=recording,
+            telemetry=telemetry,
         )
         for i, (goal, server) in enumerate(pairs)
     ]

@@ -23,6 +23,7 @@ key enumeration tables and be compared in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from repro.errors import CodecError
@@ -31,6 +32,30 @@ from repro.errors import CodecError
 _PRINTABLE_LO = 32
 _PRINTABLE_HI = 126
 _PRINTABLE_RANGE = _PRINTABLE_HI - _PRINTABLE_LO + 1
+
+
+# Translate tables for ``str.translate``, built on first use and cached by
+# the value that determines them — never stored on the codec, so equality,
+# hashing, ``repr`` and pickles see only the codec's own fields.  A string
+# table indexed by code point leaves characters past its end untouched
+# (``str.translate`` passes a character through on ``LookupError``).
+
+
+@lru_cache(maxsize=None)
+def _rotation_table(shift: int) -> str:
+    """Code points 0..126 with the printable range rotated by ``shift``."""
+    return "".join(
+        chr(_PRINTABLE_LO + (code - _PRINTABLE_LO + shift) % _PRINTABLE_RANGE)
+        if code >= _PRINTABLE_LO
+        else chr(code)
+        for code in range(_PRINTABLE_HI + 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def _xor_table(mask: int) -> str:
+    """Code points 0..255, each XORed with ``mask``."""
+    return "".join(chr(code ^ mask) for code in range(256))
 
 
 class Codec:
@@ -109,20 +134,11 @@ class CaesarCodec(Codec):
     def name(self) -> str:
         return f"caesar{self.shift % _PRINTABLE_RANGE}"
 
-    def _rotate(self, message: str, shift: int) -> str:
-        out = []
-        for ch in message:
-            code = ord(ch)
-            if _PRINTABLE_LO <= code <= _PRINTABLE_HI:
-                code = _PRINTABLE_LO + (code - _PRINTABLE_LO + shift) % _PRINTABLE_RANGE
-            out.append(chr(code))
-        return "".join(out)
-
     def encode(self, message: str) -> str:
-        return self._rotate(message, self.shift)
+        return message.translate(_rotation_table(self.shift % _PRINTABLE_RANGE))
 
     def decode(self, message: str) -> str:
-        return self._rotate(message, -self.shift)
+        return message.translate(_rotation_table(-self.shift % _PRINTABLE_RANGE))
 
 
 @dataclass(frozen=True)
@@ -145,13 +161,11 @@ class XorMaskCodec(Codec):
         return f"xor{self.mask:02x}"
 
     def _apply(self, message: str) -> str:
-        out = []
-        for ch in message:
-            code = ord(ch)
-            if code >= 256:
-                raise CodecError(f"XorMaskCodec domain is Latin-1; got {ch!r}")
-            out.append(chr(code ^ self.mask))
-        return "".join(out)
+        if not message.isascii():
+            for ch in message:
+                if ord(ch) >= 256:
+                    raise CodecError(f"XorMaskCodec domain is Latin-1; got {ch!r}")
+        return message.translate(_xor_table(self.mask))
 
     def encode(self, message: str) -> str:
         return self._apply(message)

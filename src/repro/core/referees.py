@@ -40,7 +40,14 @@ class FiniteReferee:
 
 @dataclass(frozen=True)
 class FunctionFiniteReferee(FiniteReferee):
-    """Adapts a plain predicate into a :class:`FiniteReferee`."""
+    """Adapts a plain predicate into a :class:`FiniteReferee`.
+
+    Goals judged inside :func:`repro.analysis.runner.sweep` see executions
+    run under :data:`~repro.core.execution.METRICS_RECORDING`, so a
+    predicate used there may read only ``world_states``, ``halted``,
+    ``user_output``, ``rounds_executed`` and ``final_user_state``;
+    ``rounds`` is empty.
+    """
 
     predicate: Callable[[ExecutionResult], bool]
     label: str = "finite-referee"

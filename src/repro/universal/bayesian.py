@@ -18,13 +18,13 @@ ablation in experiment E8b quantifies the gap.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.comm.messages import UserInbox, UserOutbox
 from repro.core.sensing import IncrementalSensing, Sensing, incremental_sensing
 from repro.core.strategy import UserStrategy
-from repro.core.views import UserView, ViewRecord
+from repro.core.views import ViewRecord
 from repro.obs.events import (
     SWITCH_BELIEF_DECAY,
     TRIAL_DECAYED,
@@ -44,7 +44,6 @@ class BeliefState:
     index: int
     inner_state: Any = None
     inner_started: bool = False
-    trial_view: UserView = field(default_factory=UserView)
     monitor: Optional[IncrementalSensing] = None
     rounds_in_trial: int = 0
     strikes: int = 0
@@ -155,7 +154,6 @@ class BeliefWeightedUniversalUser(UserStrategy):
             outbox=outbox,
             state_after=state.inner_state,
         )
-        state.trial_view.append(record)
 
         indication = state.monitor.observe(record)
         if tracing:
@@ -194,7 +192,6 @@ class BeliefWeightedUniversalUser(UserStrategy):
                     state.index = best
                     state.inner_state = None
                     state.inner_started = False
-                    state.trial_view = UserView()
                     state.monitor = None
                     state.rounds_in_trial = 0
                     state.strikes = 0

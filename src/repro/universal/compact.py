@@ -26,13 +26,13 @@ Correctness invariants (property-tested in ``tests/universal/``):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from repro.comm.messages import UserInbox, UserOutbox
 from repro.core.sensing import IncrementalSensing, Sensing, incremental_sensing
 from repro.core.strategy import UserStrategy
-from repro.core.views import UserView, ViewRecord
+from repro.core.views import ViewRecord
 from repro.errors import EnumerationExhaustedError
 from repro.obs.events import (
     SWITCH_SENSING_NEGATIVE,
@@ -53,15 +53,14 @@ class CompactUniversalState:
     The engine threads this through :meth:`CompactUniversalUser.step`; it is
     never shared between executions (each ``initial_state`` call builds a
     fresh cursor).  ``monitor`` is the trial's incremental-sensing monitor
-    (see :meth:`~repro.core.sensing.Sensing.incremental`), restarted with
-    the trial view on every switch.
+    (see :meth:`~repro.core.sensing.Sensing.incremental`), restarted on
+    every switch; it observes each round of the trial.
     """
 
     cursor: EnumerationCursor
     index: int = 0
     inner_state: Any = None
     inner_started: bool = False
-    trial_view: UserView = field(default_factory=UserView)
     monitor: Optional[IncrementalSensing] = None
     rounds_in_trial: int = 0
     strikes: int = 0
@@ -166,7 +165,6 @@ class CompactUniversalUser(UserStrategy):
             outbox=outbox,
             state_after=state.inner_state,
         )
-        state.trial_view.append(record)
 
         # O(1) per round for the library sensing functions; custom sensing
         # falls back to replaying the view (the pre-incremental cost).
@@ -230,7 +228,6 @@ class CompactUniversalUser(UserStrategy):
         state.index = next_index
         state.inner_state = None
         state.inner_started = False
-        state.trial_view = UserView()
         state.monitor = None
         state.rounds_in_trial = 0
         state.strikes = 0

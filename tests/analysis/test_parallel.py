@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.metrics import collect_metrics
 from repro.analysis.parallel import ProcessExecutor, SerialExecutor, ensure_picklable
 from repro.analysis.runner import CellTask, CellTelemetry, merge_telemetry, sweep, sweep_goals
 from repro.comm.codecs import IdentityCodec, codec_family
-from repro.core.execution import METRICS_RECORDING
+from repro.core.execution import FULL_RECORDING, run_execution
 from repro.core.goals import CompactGoal
 from repro.core.referees import LastStateCompactReferee
 from repro.errors import ExecutionError
@@ -62,13 +63,21 @@ class TestBackendParity:
             assert parallel == serial, f"chunk_size={chunk_size}"
 
     def test_metrics_recording_parity_across_backends(self):
-        serial = serial_reference(recording=METRICS_RECORDING)
-        parallel = serial_reference(
-            recording=METRICS_RECORDING, executor=ProcessExecutor(max_workers=2)
-        )
+        serial = serial_reference()
+        parallel = serial_reference(executor=ProcessExecutor(max_workers=2))
         assert parallel == serial
-        # And the lean runs report the same metrics as full-recording runs.
-        assert serial == serial_reference()
+        # Sweeps run metrics-only; they report what full-recording runs do.
+        for cell, server in zip(serial.cells, SERVERS):
+            assert cell.runs == tuple(
+                collect_metrics(
+                    run_execution(
+                        AdvisorFollowingUser(IdentityCodec()), server, GOAL.world,
+                        max_rounds=300, seed=seed, recording=FULL_RECORDING,
+                    ),
+                    GOAL,
+                )
+                for seed in (0, 1, 2)
+            )
 
     def test_universal_user_parity_with_telemetry(self):
         """User-level tracer counters survive the process boundary."""

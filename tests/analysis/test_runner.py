@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from repro.analysis.metrics import collect_metrics
 from repro.analysis.runner import sweep, sweep_goals
 from repro.comm.codecs import IdentityCodec, codec_family
+from repro.core.execution import FULL_RECORDING, run_execution
+from repro.faults.channel import drop_channel
 from repro.servers.advisors import AdvisorServer, advisor_server_class
 from repro.universal.compact import CompactUniversalUser
 from repro.universal.enumeration import ListEnumeration
@@ -66,3 +69,29 @@ class TestSweepGoals:
         cells = sweep_goals(universal, pairs, seeds=(0,), max_rounds=600)
         assert len(cells) == 2
         assert all(cell.all_achieved for cell in cells)
+
+
+class TestSweepKeepsOnlyMetrics:
+    def test_cells_equal_full_recording_runs(self):
+        """Sweeps run metrics-only; each cell reports what full-recording
+        runs of its seeds report, faulted cells included."""
+        servers = advisor_server_class(LAW, CODECS)
+        faults = [None, drop_channel(0.1, salt=2)]
+        seeds = (0, 1)
+        result = sweep(
+            universal(), servers, GOAL, seeds=seeds, max_rounds=600, faults=faults
+        )
+        grid = [(server, channel) for server in servers for channel in faults]
+        assert len(result.cells) == len(grid)
+        for cell, (server, channel) in zip(result.cells, grid):
+            assert cell.runs == tuple(
+                collect_metrics(
+                    run_execution(
+                        universal(), server, GOAL.world, max_rounds=600,
+                        seed=seed, recording=FULL_RECORDING, channel=channel,
+                    ),
+                    GOAL,
+                )
+                for seed in seeds
+            )
+        assert result.universal_success

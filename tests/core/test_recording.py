@@ -3,7 +3,8 @@
 ``METRICS_RECORDING`` skips per-round allocations; everything metric
 collection reads — world states, halt flag, user output, round count,
 final user state, goal evaluation — must be identical to a ``FULL_RECORDING``
-run from the same seed, on every benchmark goal family.
+run from the same seed, on every benchmark goal family and on every family
+the experiments sweep (sweeps run metrics-only).
 """
 
 from __future__ import annotations
@@ -29,25 +30,37 @@ from repro.core.sensing import (
 )
 from repro.core.views import BoundedUserView, UserView, ViewRecord
 from repro.comm.messages import UserInbox, UserOutbox
+from repro.faults.channel import drop_channel
 from repro.mathx.modular import Field
 from repro.qbf.generators import random_cnf, random_qbf
 from repro.servers.advisors import AdvisorServer
 from repro.servers.counting_provers import HonestCountingServer
 from repro.servers.guides import GuideServer
-from repro.servers.printer_servers import make_printer
+from repro.servers.password import all_passwords, password_server_class
+from repro.servers.printer_servers import (
+    DIALECTS,
+    make_printer,
+    printer_server_class,
+)
 from repro.servers.provers import HonestProverServer
 from repro.universal.compact import CompactUniversalUser
 from repro.universal.enumeration import ListEnumeration
-from repro.users.control_users import AdvisorFollowingUser, follower_user_class
+from repro.universal.finite import FiniteUniversalUser
+from repro.universal.schedules import doubling_sweep_trials
+from repro.users.control_users import (
+    AdvisorFollowingUser,
+    follower_user_class,
+    password_user_class,
+)
 from repro.users.counting_users import CountingUser
 from repro.users.delegation_users import DelegationUser
 from repro.users.navigation_users import GuidedNavigator
-from repro.users.printer_users import PrinterProtocolUser
+from repro.users.printer_users import PrinterProtocolUser, printer_user_class
 from repro.worlds.computation import delegation_goal
 from repro.worlds.control import control_goal, control_sensing
 from repro.worlds.counting import counting_goal
 from repro.worlds.navigation import corridor_grid, navigation_goal
-from repro.worlds.printer import printing_goal
+from repro.worlds.printer import printing_goal, printing_sensing
 
 LAW = {"red": "blue", "blue": "red"}
 F = Field()
@@ -59,6 +72,7 @@ def control_family():
         AdvisorServer(LAW),
         control_goal(LAW),
         200,
+        None,
     )
 
 
@@ -66,7 +80,7 @@ def control_universal_family():
     user = CompactUniversalUser(
         ListEnumeration(follower_user_class(codec_family(2))), control_sensing()
     )
-    return user, AdvisorServer(LAW), control_goal(LAW), 400
+    return user, AdvisorServer(LAW), control_goal(LAW), 400, None
 
 
 def printer_family():
@@ -75,6 +89,7 @@ def printer_family():
         make_printer("tagged"),
         printing_goal(["the document"]),
         120,
+        None,
     )
 
 
@@ -85,6 +100,7 @@ def counting_family():
         HonestCountingServer(F),
         counting_goal([formula]),
         300,
+        None,
     )
 
 
@@ -95,6 +111,7 @@ def delegation_family():
         HonestProverServer(F),
         delegation_goal(instances),
         300,
+        None,
     )
 
 
@@ -105,7 +122,70 @@ def navigation_family():
         GuideServer(grid),
         navigation_goal(grid),
         300,
+        None,
     )
+
+
+# The families the experiments sweep; ``sweep()`` runs them all under
+# METRICS_RECORDING, so their parity here is what keeps sweeps exact.
+
+
+def finite_e2_family():
+    codecs = codec_family(2)
+    user = FiniteUniversalUser(
+        ListEnumeration(printer_user_class(DIALECTS, codecs)),
+        printing_sensing(),
+    )
+    server = printer_server_class(DIALECTS, codecs)[2]
+    return user, server, printing_goal(["report"]), 3000, None
+
+
+def password_e3_family():
+    users = password_user_class(
+        all_passwords(2), lambda: AdvisorFollowingUser(IdentityCodec())
+    )
+    user = CompactUniversalUser(
+        ListEnumeration(users, label="pw2"), control_sensing()
+    )
+    server = password_server_class(2, LAW)[-1]
+    return user, server, control_goal(LAW), 1500, None
+
+
+def printer_e9_family():
+    codecs = codec_family(3)
+    user = FiniteUniversalUser(
+        ListEnumeration(printer_user_class(DIALECTS, codecs)),
+        printing_sensing(),
+        schedule_factory=lambda cap: doubling_sweep_trials(
+            None if cap is None else cap - 1
+        ),
+    )
+    server = printer_server_class(DIALECTS, codecs)[-1]
+    return user, server, printing_goal(["annual report 2011"]), 6000, None
+
+
+def printer_e9_blind_family():
+    codecs = codec_family(3)
+    user = PrinterProtocolUser("space", codecs[0], blind_halt_after=5)
+    server = printer_server_class(DIALECTS, codecs)[-1]
+    goal = printing_goal(["annual report 2011"], feedback=False)
+    return user, server, goal, 400, None
+
+
+def control_faulted_family():
+    user, server, goal, max_rounds, _ = control_universal_family()
+    return user, server, goal, max_rounds, drop_channel(0.1, salt=2)
+
+
+#: (achieved, halted) of the sweep families: halting success, compact
+#: success and failure are all covered, so the parity is not vacuous.
+OUTCOMES = {
+    finite_e2_family: (True, True),
+    password_e3_family: (True, False),
+    printer_e9_family: (True, True),
+    printer_e9_blind_family: (False, True),
+    control_faulted_family: (True, False),
+}
 
 
 FAMILIES = [
@@ -115,6 +195,11 @@ FAMILIES = [
     pytest.param(counting_family, id="counting"),
     pytest.param(delegation_family, id="delegation"),
     pytest.param(navigation_family, id="navigation"),
+    pytest.param(finite_e2_family, id="finite-e2"),
+    pytest.param(password_e3_family, id="password-e3"),
+    pytest.param(printer_e9_family, id="printer-e9"),
+    pytest.param(printer_e9_blind_family, id="printer-e9-blind"),
+    pytest.param(control_faulted_family, id="control-faulted"),
 ]
 
 
@@ -122,15 +207,15 @@ class TestMetricsParity:
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("seed", [0, 7])
     def test_metrics_run_matches_full_run(self, family, seed):
-        user, server, goal, max_rounds = family()
+        user, server, goal, max_rounds, channel = family()
         full = run_execution(
             user, server, goal.world, max_rounds=max_rounds, seed=seed,
-            recording=FULL_RECORDING,
+            recording=FULL_RECORDING, channel=channel,
         )
-        user, server, goal, max_rounds = family()  # fresh strategies
+        user, server, goal, max_rounds, channel = family()  # fresh strategies
         lean = run_execution(
             user, server, goal.world, max_rounds=max_rounds, seed=seed,
-            recording=METRICS_RECORDING,
+            recording=METRICS_RECORDING, channel=channel,
         )
 
         assert lean.rounds == []
@@ -142,21 +227,25 @@ class TestMetricsParity:
         # Some user states hold protocol sessions without ``__eq__``, so
         # compare type here and content via the metrics extracted below.
         assert type(lean.final_user_state) is type(full.rounds[-1].user_state_after)
-        assert collect_metrics(lean, goal) == collect_metrics(full, goal)
+        metrics = collect_metrics(lean, goal)
+        assert metrics == collect_metrics(full, goal)
+        if family in OUTCOMES:
+            assert (metrics.achieved, metrics.halted) == OUTCOMES[family]
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_goal_outcome_identical(self, family):
-        user, server, goal, max_rounds = family()
+        user, server, goal, max_rounds, channel = family()
         full_outcome = goal.evaluate(
             run_execution(
-                user, server, goal.world, max_rounds=max_rounds, seed=3
+                user, server, goal.world, max_rounds=max_rounds, seed=3,
+                channel=channel,
             )
         )
-        user, server, goal, max_rounds = family()
+        user, server, goal, max_rounds, channel = family()
         lean_outcome = goal.evaluate(
             run_execution(
                 user, server, goal.world, max_rounds=max_rounds, seed=3,
-                recording=METRICS_RECORDING,
+                recording=METRICS_RECORDING, channel=channel,
             )
         )
         assert lean_outcome == full_outcome
@@ -186,7 +275,7 @@ class TestRecordingPolicy:
         assert NoRecentProgressSensing(stall_rounds=4).view_window() == 4
 
     def test_engine_honours_view_window(self):
-        user, server, goal, max_rounds = control_family()
+        user, server, goal, max_rounds, _ = control_family()
         policy = RecordingPolicy(keep_rounds=False, view_window=5, label="metrics")
         result = run_execution(
             user, server, goal.world, max_rounds=50, seed=0, recording=policy

@@ -8,6 +8,7 @@ and ``channel=None`` stays bitwise identical to the pre-fault engine.
 
 from __future__ import annotations
 
+from repro.analysis.metrics import collect_metrics
 from repro.analysis.parallel import ProcessExecutor
 from repro.analysis.runner import sweep
 from repro.comm.codecs import IdentityCodec, codec_family
@@ -83,11 +84,24 @@ class TestBackendParityUnderFaults:
         assert parallel == serial
 
     def test_metrics_recording_parity_across_backends(self):
-        serial = faulted_sweep(recording=METRICS_RECORDING)
-        parallel = faulted_sweep(
-            recording=METRICS_RECORDING, executor=ProcessExecutor(max_workers=2)
-        )
+        """Sweeps run metrics-only: serially and across workers, each
+        faulted cell reports what full-recording runs of its seeds do."""
+        serial = faulted_sweep()
+        parallel = faulted_sweep(executor=ProcessExecutor(max_workers=2))
         assert parallel == serial
+        grid = [(server, channel) for server in SERVERS for channel in FAULTS]
+        for cell, (server, channel) in zip(serial.cells, grid):
+            assert cell.runs == tuple(
+                collect_metrics(
+                    run_execution(
+                        AdvisorFollowingUser(IdentityCodec()), server,
+                        GOAL.world, max_rounds=300, seed=seed,
+                        recording=FULL_RECORDING, channel=channel,
+                    ),
+                    GOAL,
+                )
+                for seed in (0, 1)
+            )
 
 
 class TestExecutionReproducibility:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.lint import lint_paths
 from repro.lint.cli import main
 from repro.lint.engine import classify_path
@@ -25,6 +27,13 @@ ALL_TREES = [
 ]
 
 
+@pytest.fixture(scope="class")
+def full_scan():
+    """One whole-project scan of the four trees, shared by the tests that
+    read it (each scan rebuilds the call graph)."""
+    return lint_paths(ALL_TREES)
+
+
 class TestSelfCheck:
     def test_src_and_tests_are_clean(self):
         report = lint_paths([str(ROOT / "src"), str(ROOT / "tests")])
@@ -34,21 +43,19 @@ class TestSelfCheck:
         )
         assert report.files_scanned > 100
 
-    def test_all_four_trees_are_clean(self):
+    def test_all_four_trees_are_clean(self, full_scan):
         # The full project-level run: module rules + call-graph/dataflow
         # rules (RL1xx/2xx/3xx) over src, tests, benchmarks and the CI
         # scripts — the same invocation the lint-graph CI job gates on.
-        report = lint_paths(ALL_TREES)
-        assert report.parse_errors == []
-        assert report.violations == [], "\n".join(
-            v.render() for v in report.violations
+        assert full_scan.parse_errors == []
+        assert full_scan.violations == [], "\n".join(
+            v.render() for v in full_scan.violations
         )
 
-    def test_full_scan_is_fast_enough_for_ci(self):
+    def test_full_scan_is_fast_enough_for_ci(self, full_scan):
         # The CI job budgets 10 s of wall time for the whole-project
         # analysis; leave headroom so slow runners do not flake.
-        report = lint_paths(ALL_TREES)
-        assert report.elapsed_s < 10.0
+        assert full_scan.elapsed_s < 10.0
 
     def test_cli_exits_zero_on_the_shipped_tree(self, capsys):
         assert main(ALL_TREES) == 0
