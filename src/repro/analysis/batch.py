@@ -7,10 +7,10 @@
   alphabet (see :func:`repro.core.batch.compile_tabular_cast`) run on the
   **vectorized** kernel — one numpy gather per party per round across all
   slots of a chunk, which is where the 100×+ ``cells_per_s`` lives;
-* everything else runs on the **scalar lockstep** engine
-  (:func:`repro.core.batch.run_execution_batch`), which interleaves
-  arbitrary strategies round by round with bitwise-identical results to
-  the serial engine.
+* everything else runs on the **scalar lockstep** scheduler
+  (:func:`repro.core.execution.run_steppers`), which interleaves
+  arbitrary strategies round by round through the serial engine's own
+  round body.
 
 Either way the determinism contract of :mod:`repro.analysis.parallel`
 holds: same seeds in, equal :class:`~repro.analysis.runner.SweepCell` out
@@ -43,14 +43,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.analysis.metrics import RunMetrics, collect_metrics
 from repro.analysis.runner import CellTask, CellTelemetry, SweepCell
 from repro.core.batch import (
-    BatchItem,
     TabularCast,
     TabularOutcome,
     compile_tabular_cast,
-    run_execution_batch,
     run_tabular_batch,
 )
-from repro.core.execution import METRICS_RECORDING
+from repro.core.execution import METRICS_RECORDING, ExecutionStepper, run_steppers
 from repro.obs.tracer import Tracer
 
 #: Default lockstep width: big enough to amortise per-round numpy/Python
@@ -207,7 +205,7 @@ def _run_scalar_chunk(
     """
     wall_start = time.perf_counter()
     cpu_start = time.process_time()
-    items: List[BatchItem] = []
+    steppers: List[ExecutionStepper] = []
     spans: List[Tuple[int, CellTask, Optional[Tracer], int]] = []
     for pos, task in entries:
         tracer = Tracer() if task.telemetry else None
@@ -219,21 +217,21 @@ def _run_scalar_chunk(
                 results[pos] = task.run()
                 continue
             user.tracer = tracer
-        spans.append((pos, task, tracer, len(items)))
+        spans.append((pos, task, tracer, len(steppers)))
         for seed in task.seeds:
-            items.append(
-                BatchItem(
-                    user=user,
-                    server=task.server,
-                    world=task.goal.world,
-                    seed=seed,
+            steppers.append(
+                ExecutionStepper(
+                    user,
+                    task.server,
+                    task.goal.world,
                     max_rounds=task.max_rounds,
+                    seed=seed,
+                    tracer=tracer,
                     recording=METRICS_RECORDING,
                     channel=task.channel,
-                    tracer=tracer,
                 )
             )
-    executions = run_execution_batch(items)
+    executions = run_steppers(steppers)
     wall = round((time.perf_counter() - wall_start) / len(entries), 6)
     cpu = round((time.process_time() - cpu_start) / len(entries), 6)
     for pos, task, tracer, first in spans:

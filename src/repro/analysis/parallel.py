@@ -49,8 +49,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from repro.analysis.runner import CellTask, SweepCell
-from repro.core.execution import FaultyChannelLike
 from repro.core.goals import Goal
+from repro.core.interfaces import ChannelLike
 from repro.core.strategy import ServerStrategy, UserStrategy
 from repro.errors import ExecutionError
 
@@ -116,7 +116,7 @@ class SweepCast:
     users: Tuple[UserStrategy, ...]
     servers: Tuple[ServerStrategy, ...]
     goals: Tuple[Goal, ...]
-    channels: Tuple[FaultyChannelLike, ...]
+    channels: Tuple[ChannelLike, ...]
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ def build_sweep_cast(
     users: List[UserStrategy] = []
     servers: List[ServerStrategy] = []
     goals: List[Goal] = []
-    channels: List[FaultyChannelLike] = []
+    channels: List[ChannelLike] = []
     seen: Dict[Tuple[str, int], int] = {}
 
     def intern(kind: str, pool: List[_T], obj: _T) -> int:

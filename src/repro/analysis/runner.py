@@ -23,7 +23,7 @@ Every run of a sweep executes under
 reads nothing the lean policy drops, so per-round histories would be built
 only to be thrown away (see ``docs/PERFORMANCE.md``).  Callers that read
 histories use :func:`~repro.core.execution.run_execution`,
-:class:`~repro.core.stepper.ExecutionStepper` or
+:class:`~repro.core.execution.ExecutionStepper` or
 :func:`~repro.obs.ledger.record_run`, whose default stays
 :data:`~repro.core.execution.FULL_RECORDING`.
 
@@ -55,12 +55,9 @@ if TYPE_CHECKING:
     from repro.obs.ledger import SweepManifest
 
 from repro.analysis.metrics import RunMetrics, collect_metrics, success_rate
-from repro.core.execution import (
-    METRICS_RECORDING,
-    FaultyChannelLike,
-    run_execution,
-)
+from repro.core.execution import METRICS_RECORDING, run_execution
 from repro.core.goals import Goal
+from repro.core.interfaces import ChannelLike
 from repro.core.strategy import ServerStrategy, UserStrategy
 from repro.obs.tracer import Tracer
 
@@ -199,7 +196,7 @@ class CellTask:
     seeds: Tuple[int, ...]
     max_rounds: int
     telemetry: bool
-    channel: Optional[FaultyChannelLike] = None
+    channel: Optional[ChannelLike] = None
 
     def run(self) -> SweepCell:
         """Execute the cell in the current process."""
@@ -216,7 +213,7 @@ def _run_cell(
     seeds: Sequence[int],
     max_rounds: int,
     telemetry: bool,
-    channel: Optional[FaultyChannelLike] = None,
+    channel: Optional[ChannelLike] = None,
 ) -> SweepCell:
     """One (user, server) cell: all seeds, optional shared-tracer telemetry."""
     tracer = Tracer() if telemetry else None
@@ -261,7 +258,7 @@ def sweep(
     telemetry: bool = False,
     executor: Optional["SweepExecutorLike"] = None,
     batch: Optional[int] = None,
-    faults: Optional[Sequence[Optional[FaultyChannelLike]]] = None,
+    faults: Optional[Sequence[Optional[ChannelLike]]] = None,
     ledger_dir: Optional[Union[str, Path]] = None,
     certify: bool = False,
 ) -> SweepResult:

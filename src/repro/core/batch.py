@@ -9,14 +9,13 @@ them in lockstep inside one process.
 
 Two tiers, one contract:
 
-* :func:`run_execution_batch` — the **scalar lockstep** engine.  Works for
-  *arbitrary* strategies: each live slot is stepped exactly as
-  :func:`repro.core.execution.run_execution` would step it (same RNG
-  derivation, same outbox validation, same channel-fault application, same
-  recording policies), so every slot's :class:`ExecutionResult` is
-  bitwise-identical to the serial engine's.  The win here is structural —
-  thousands of sessions share one process, one warm cache, and one pass of
-  per-round bookkeeping — not asymptotic.
+* :func:`repro.core.execution.run_steppers` — the **scalar lockstep**
+  scheduler.  Works for *arbitrary* strategies: each slot is an
+  :class:`~repro.core.execution.ExecutionStepper`, the same round body
+  :func:`~repro.core.execution.run_execution` drives, so every slot's
+  result is bitwise-identical to the serial engine's.  The win here is
+  structural — thousands of sessions share one process, one warm cache,
+  and one pass of per-round bookkeeping — not asymptotic.
 * :func:`run_tabular_batch` — the **vectorized lockstep** kernel.  When
   every party of every slot compiles to a finite-state table over a shared
   finite message alphabet (see :class:`TabularParty` and
@@ -58,29 +57,19 @@ from typing import (
 )
 
 from repro.comm.messages import SILENCE
-from repro.core.execution import (
-    FULL_RECORDING,
-    ExecutionResult,
-    FaultyChannelLike,
-    RecordingPolicy,
-)
 from repro.core.goals import CompactGoal, Goal
+from repro.core.interfaces import ChannelLike
 from repro.core.referees import LastStateCompactReferee
-from repro.core.stepper import ExecutionStepper, derive_party_seeds
 from repro.core.strategy import ServerStrategy, UserStrategy, WorldStrategy
 from repro.errors import ExecutionError
-from repro.obs.tracer import TracerLike
 
 __all__ = [
     "HAVE_NUMPY",
-    "BatchItem",
     "TabularCast",
     "TabularOutcome",
     "TabularParty",
     "TabularStrategy",
     "compile_tabular_cast",
-    "derive_party_seeds",  # canonical home: repro.core.stepper
-    "run_execution_batch",
     "run_tabular_batch",
 ]
 
@@ -91,70 +80,6 @@ except ImportError:  # pragma: no cover
 
 #: True when numpy imported and the vectorized tier is available.
 HAVE_NUMPY: bool = _np is not None
-
-
-@dataclass(frozen=True)
-class BatchItem:
-    """One execution slot of a batch: the cast plus its run parameters."""
-
-    user: UserStrategy
-    server: ServerStrategy
-    world: WorldStrategy
-    seed: int = 0
-    max_rounds: int = 1
-    recording: RecordingPolicy = FULL_RECORDING
-    channel: Optional[FaultyChannelLike] = None
-    record_transcript: bool = False
-    #: Per-slot tracer (counters-only semantics; see the module docstring).
-    tracer: TracerLike = None
-
-    def __post_init__(self) -> None:
-        if self.max_rounds <= 0:
-            raise ExecutionError(f"max_rounds must be positive: {self.max_rounds}")
-
-
-def _slot(item: BatchItem) -> ExecutionStepper:
-    """One lockstep slot: the extracted engine loop, parameterised by item.
-
-    The per-round mechanics live in :class:`repro.core.stepper.ExecutionStepper`
-    (the engine's loop body as an object); this module only decides *which*
-    executions advance together.
-    """
-    return ExecutionStepper(
-        item.user,
-        item.server,
-        item.world,
-        max_rounds=item.max_rounds,
-        seed=item.seed,
-        record_transcript=item.record_transcript,
-        tracer=item.tracer,
-        recording=item.recording,
-        channel=item.channel,
-    )
-
-
-def run_execution_batch(items: Sequence[BatchItem]) -> List[ExecutionResult]:
-    """Run every item in lockstep; results in item order.
-
-    Each slot is advanced exactly as :func:`~repro.core.execution.run_execution`
-    would advance it — same per-party RNG derivation, same validation, same
-    channel-fault application, same recording policy — so slot *i*'s result
-    is identical to ``run_execution(items[i]...)``.  Slots that halt (or
-    exhaust their ``max_rounds``) drop out; the loop ends when none remain.
-
-    Strategies shared between slots must keep all run state in the state
-    object the engine threads (the repository-wide RL002 discipline): the
-    lockstep interleaving calls ``step`` for slot A between two calls for
-    slot B, which a ``self``-mutating strategy would observe.
-    """
-    slots = [_slot(item) for item in items]
-    live = list(slots)
-    while live:
-        for slot in live:
-            slot.step()
-        if any(not slot.live for slot in live):
-            live = [slot for slot in live if slot.live]
-    return [slot.finish() for slot in slots]
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +215,7 @@ def compile_tabular_cast(
     world: WorldStrategy,
     goal: Goal,
     *,
-    channel: Optional[FaultyChannelLike] = None,
+    channel: Optional[ChannelLike] = None,
 ) -> Optional[TabularCast]:
     """Compile a cell to its vectorizable form, or ``None`` to fall back.
 
@@ -388,7 +313,7 @@ def run_tabular_batch(
     """
     if _np is None:
         raise ExecutionError(
-            "run_tabular_batch requires numpy; use run_execution_batch instead"
+            "run_tabular_batch requires numpy; use run_steppers instead"
         )
     if max_rounds <= 0:
         raise ExecutionError(f"max_rounds must be positive: {max_rounds}")

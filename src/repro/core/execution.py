@@ -7,6 +7,15 @@ messages (delivered next round).  All three parties step *simultaneously* —
 a user request sent in round *t* is read by the server in round *t+1* and
 the reply reaches the user in round *t+2*.
 
+One round body serves every caller.  :class:`ExecutionStepper` holds one
+execution and advances it a round per :meth:`~ExecutionStepper.step`;
+:func:`run_execution` drives a stepper to completion in one call, the
+session service (:mod:`repro.serve`) parks steppers between scheduler
+slices, and :func:`run_steppers` interleaves many of them round by round
+in one process.  Because all three share the one body, they agree bitwise
+by construction; ``tests/core/test_engine_golden.py`` pins what that body
+computes.
+
 The engine records the full world-state history (goal achievement is defined
 on it), the user's local view (sensing is defined on it), and optionally a
 flat transcript of channel traffic.
@@ -36,11 +45,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.comm.channels import ChannelState, Roles
 from repro.comm.messages import ServerInbox, ServerOutbox, UserInbox, UserOutbox, WorldInbox, WorldOutbox
-from repro.core.interfaces import ChannelLike, ChannelRunLike
+from repro.core.interfaces import ChannelLike
 from repro.core.strategy import ServerStrategy, UserStrategy, WorldStrategy
 from repro.core.views import BoundedUserView, UserView, ViewRecord
 from repro.comm.transcripts import Transcript
@@ -57,7 +66,7 @@ from repro.obs.tracer import TracerLike, is_tracing
 
 @dataclass(frozen=True)
 class RecordingPolicy:
-    """What :func:`run_execution` retains as it runs.
+    """What an execution retains as it runs.
 
     ``keep_rounds`` controls the per-round :class:`RoundRecord` list;
     ``view_window`` controls the engine-level user view: ``None`` keeps
@@ -149,13 +158,304 @@ class ExecutionResult:
         return self.world_states[-1]
 
 
-# Structural interfaces for ``channel=`` arguments.  The concrete
-# implementation lives in :mod:`repro.faults.channel`; anything with a
-# conforming ``start`` works, keeping the engine free of an upward
-# dependency on the fault layer.  (Formerly duck-typed stub classes of
-# the same names; now checkable Protocols from repro.core.interfaces.)
-FaultyChannelLike = ChannelLike
-FaultyChannelRunLike = ChannelRunLike
+def derive_party_seeds(seed: int) -> Tuple[int, int, int, int]:
+    """The engine's per-party seed chain for master ``seed``.
+
+    User, server, and world streams first, then the channel stream —
+    drawn last so a fault-free run's party streams are the ones it had
+    before fault channels existed.  Every stepper, and so every served
+    session, derives its streams through this chain.
+    """
+    master = random.Random(seed)
+    return (
+        master.getrandbits(64),
+        master.getrandbits(64),
+        master.getrandbits(64),
+        master.getrandbits(64),
+    )
+
+
+class ExecutionStepper:
+    """One execution, advanced one synchronous round per :meth:`step` call.
+
+    Construction does everything that precedes the first round: seed
+    derivation, the tracer's start event, the channel run, and the
+    parties' initial states.  The stepper goes *settled* when the user
+    halts or ``max_rounds`` is exhausted, after which :meth:`step` is an
+    error and :meth:`finish` returns the result (and emits the finish
+    event).
+
+    Steppers are single-use and not thread-safe; cooperative interleaving
+    (many steppers advanced from one thread, in any order) is the intended
+    mode and changes no stepper's results — all state is per-instance.
+    Strategies shared between steppers must keep all run state in the
+    state object the engine threads (rule RL002): interleaving calls
+    ``step`` for one execution between two calls for another, which a
+    ``self``-mutating strategy would observe.
+    """
+
+    __slots__ = (
+        "user", "server", "world", "max_rounds", "recording", "channel",
+        "tracer", "user_rng", "server_rng", "world_rng", "user_state",
+        "server_state", "world_state", "channels", "channel_run", "result",
+        "tracing", "keep_rounds", "keep_view_records", "live", "finished",
+        "round_index",
+    )
+
+    def __init__(
+        self,
+        user: UserStrategy,
+        server: ServerStrategy,
+        world: WorldStrategy,
+        *,
+        max_rounds: int,
+        seed: int = 0,
+        record_transcript: bool = False,
+        tracer: TracerLike = None,
+        recording: RecordingPolicy = FULL_RECORDING,
+        channel: Optional[ChannelLike] = None,
+    ) -> None:
+        if max_rounds <= 0:
+            raise ExecutionError(f"max_rounds must be positive: {max_rounds}")
+        self.user = user
+        self.server = server
+        self.world = world
+        self.max_rounds = max_rounds
+        self.recording = recording
+        self.channel = channel
+        self.tracer = tracer
+        user_seed, server_seed, world_seed, channel_seed = derive_party_seeds(seed)
+        self.user_rng = random.Random(user_seed)
+        self.server_rng = random.Random(server_seed)
+        self.world_rng = random.Random(world_seed)
+        # Hoisted once: the round body must not pay for tracing when off.
+        self.tracing = is_tracing(tracer)
+        if self.tracing:
+            assert tracer is not None
+            tracer.emit(
+                ExecutionStarted(
+                    user=user.name,
+                    server=server.name,
+                    world=world.name,
+                    max_rounds=max_rounds,
+                    seed=seed,
+                    rng_digest=rng_chain_digest(
+                        seed, (user_seed, server_seed, world_seed)
+                    ),
+                )
+            )
+        self.channel_run = (
+            channel.start(channel_seed, tracer if self.tracing else None)
+            if channel is not None
+            else None
+        )
+        self.user_state = user.initial_state(self.user_rng)
+        self.server_state = server.initial_state(self.server_rng)
+        self.world_state = world.initial_state(self.world_rng)
+        self.channels = ChannelState()
+        self.result = ExecutionResult(
+            transcript=Transcript() if record_transcript else None,
+            recording=recording,
+        )
+        self.result.world_states.append(self.world_state)
+        # Hoisted recording-policy flags: each round pays one branch, not
+        # attribute lookups, per retained artefact.
+        self.keep_rounds = recording.keep_rounds
+        view_window = recording.view_window
+        if view_window is not None:
+            self.result.user_view = BoundedUserView(view_window)
+        self.keep_view_records = view_window is None or view_window > 0
+        self.live = True
+        self.finished = False
+        self.round_index = 0
+
+    @property
+    def rounds_completed(self) -> int:
+        """Rounds executed so far (== the next round's index while live)."""
+        return self.result.rounds_completed
+
+    def step(self) -> bool:
+        """Advance one synchronous round; return ``True`` while live.
+
+        Raises :class:`~repro.errors.ExecutionError` when called after the
+        execution settled (a scheduler bug, not a recoverable condition).
+        """
+        if not self.live:
+            raise ExecutionError("step() called on a settled execution")
+        self.step_many(1)
+        return self.live
+
+    def step_many(self, rounds: int) -> int:
+        """Advance up to ``rounds`` rounds; return how many actually ran.
+
+        The round body: party steps, outbox validation, delivery, channel
+        faults, recording, tracing, and the halt check.  Stops early when
+        the execution settles, and is a no-op (returning 0) on an already
+        settled stepper — schedulers may race a settle without guarding.
+        Raises :class:`~repro.errors.ExecutionError` when a strategy
+        returns an outbox of the wrong type (catching wiring mistakes
+        before they corrupt channel state).
+        """
+        if rounds < 0:
+            raise ExecutionError(f"rounds must be non-negative: {rounds}")
+        if not self.live:
+            return 0
+        # Hoisted once per call, so each round reads locals rather than
+        # attributes; run_execution makes a single call for the whole run.
+        user, server, world = self.user, self.server, self.world
+        user_rng, server_rng, world_rng = self.user_rng, self.server_rng, self.world_rng
+        channels = self.channels
+        channel_run = self.channel_run
+        result = self.result
+        keep_rounds = self.keep_rounds
+        keep_view_records = self.keep_view_records
+        user_view = result.user_view
+        transcript = result.transcript
+        tracer = self.tracer if self.tracing else None
+        user_state, server_state, world_state = (
+            self.user_state, self.server_state, self.world_state
+        )
+        start = round_index = self.round_index
+        end = min(start + rounds, self.max_rounds)
+        try:
+            while round_index < end:
+                user_inbox = channels.user_inbox()
+                server_inbox = channels.server_inbox()
+                world_inbox = channels.world_inbox()
+
+                user_state_before = user_state
+                user_state, user_out = user.step(user_state, user_inbox, user_rng)
+                server_state, server_out = server.step(
+                    server_state, server_inbox, server_rng
+                )
+                world_state, world_out = world.step(world_state, world_inbox, world_rng)
+
+                if not isinstance(user_out, UserOutbox):
+                    raise ExecutionError(
+                        f"user strategy {user.name} returned {type(user_out).__name__}"
+                    )
+                if not isinstance(server_out, ServerOutbox):
+                    raise ExecutionError(
+                        f"server strategy {server.name} returned "
+                        f"{type(server_out).__name__}"
+                    )
+                if not isinstance(world_out, WorldOutbox):
+                    raise ExecutionError(
+                        f"world strategy {world.name} returned "
+                        f"{type(world_out).__name__}"
+                    )
+
+                channels.deliver(user_out, server_out, world_out)
+                if channel_run is not None:
+                    channels.user_to_server, channels.server_to_user = channel_run.apply(
+                        round_index, channels.user_to_server, channels.server_to_user
+                    )
+
+                result.rounds_completed += 1
+                if keep_rounds:
+                    result.rounds.append(
+                        RoundRecord(
+                            index=round_index,
+                            user_inbox=user_inbox,
+                            user_outbox=user_out,
+                            server_inbox=server_inbox,
+                            server_outbox=server_out,
+                            world_inbox=world_inbox,
+                            world_outbox=world_out,
+                            user_state_after=user_state,
+                            server_state_after=server_state,
+                            world_state_after=world_state,
+                        )
+                    )
+                result.world_states.append(world_state)
+                if keep_view_records:
+                    user_view.append(
+                        ViewRecord(
+                            round_index=round_index,
+                            state_before=user_state_before,
+                            inbox=user_inbox,
+                            outbox=user_out,
+                            state_after=user_state,
+                        )
+                    )
+                else:
+                    user_view.advance()
+                if transcript is not None:
+                    record = transcript.record
+                    record(round_index, Roles.USER, Roles.SERVER, user_out.to_server)
+                    record(round_index, Roles.USER, Roles.WORLD, user_out.to_world)
+                    record(round_index, Roles.SERVER, Roles.USER, server_out.to_user)
+                    record(round_index, Roles.SERVER, Roles.WORLD, server_out.to_world)
+                    record(round_index, Roles.WORLD, Roles.USER, world_out.to_user)
+                    record(round_index, Roles.WORLD, Roles.SERVER, world_out.to_server)
+
+                if tracer is not None:
+                    messages = message_bytes = 0
+                    for sender, receiver, payload in (
+                        (Roles.USER, Roles.SERVER, user_out.to_server),
+                        (Roles.USER, Roles.WORLD, user_out.to_world),
+                        (Roles.SERVER, Roles.USER, server_out.to_user),
+                        (Roles.SERVER, Roles.WORLD, server_out.to_world),
+                        (Roles.WORLD, Roles.USER, world_out.to_user),
+                        (Roles.WORLD, Roles.SERVER, world_out.to_server),
+                    ):
+                        if payload:
+                            messages += 1
+                            message_bytes += len(payload)
+                            tracer.emit(
+                                MessageSent(
+                                    round_index=round_index, sender=sender,
+                                    receiver=receiver, payload=payload,
+                                )
+                            )
+                    tracer.emit(
+                        RoundExecuted(
+                            round_index=round_index, messages=messages,
+                            message_bytes=message_bytes, halted=user_out.halt,
+                        )
+                    )
+
+                round_index += 1
+                if user_out.halt:
+                    result.halted = True
+                    result.user_output = user_out.output
+                    self.live = False
+                    break
+        finally:
+            # Also on a raise: finish() then reports the state reached.
+            self.user_state = user_state
+            self.server_state = server_state
+            self.world_state = world_state
+            self.round_index = round_index
+        if round_index >= self.max_rounds:
+            self.live = False
+        return round_index - start
+
+    def finish(self) -> ExecutionResult:
+        """Seal and return the result (idempotent after the first call).
+
+        Fills ``final_user_state``, stamps the channel name, and emits the
+        :class:`~repro.obs.events.ExecutionFinished` event exactly once.
+        Callable while live (an aborted drain still wants partial state),
+        but the normal path calls it once ``step`` returned ``False``.
+        """
+        result = self.result
+        if self.finished:
+            return result
+        self.finished = True
+        result.final_user_state = self.user_state
+        if self.channel_run is not None:
+            result.channel_name = getattr(
+                self.channel, "name", type(self.channel).__name__
+            )
+        if self.tracing:
+            assert self.tracer is not None
+            self.tracer.emit(
+                ExecutionFinished(
+                    rounds_executed=result.rounds_completed, halted=result.halted
+                )
+            )
+        return result
 
 
 def run_execution(
@@ -168,7 +468,7 @@ def run_execution(
     record_transcript: bool = False,
     tracer: TracerLike = None,
     recording: RecordingPolicy = FULL_RECORDING,
-    channel: Optional["FaultyChannelLike"] = None,
+    channel: Optional[ChannelLike] = None,
 ) -> ExecutionResult:
     """Run the three-party system for up to ``max_rounds`` rounds.
 
@@ -188,164 +488,39 @@ def run_execution(
     ``docs/ROBUSTNESS.md``).  Faults apply to the payloads *in flight* —
     after outboxes are recorded (the transcript shows what was said) and
     before the next round's inboxes (views show what was heard).  With
-    ``channel=None`` the RNG derivations are untouched, so every pre-fault
-    execution is bitwise unchanged.
+    ``channel=None`` the party RNG streams are untouched, so every
+    pre-fault execution is bitwise unchanged.
 
     Raises :class:`ExecutionError` if ``max_rounds`` is not positive or a
-    strategy returns an outbox of the wrong type (catching wiring mistakes
-    early rather than corrupting channel state).
+    strategy returns an outbox of the wrong type.
     """
-    if max_rounds <= 0:
-        raise ExecutionError(f"max_rounds must be positive: {max_rounds}")
-
-    # Hoisted once: the hot loop below must not pay for tracing when off.
-    tracing = is_tracing(tracer)
-
-    master = random.Random(seed)
-    user_seed = master.getrandbits(64)
-    server_seed = master.getrandbits(64)
-    world_seed = master.getrandbits(64)
-    user_rng = random.Random(user_seed)
-    server_rng = random.Random(server_seed)
-    world_rng = random.Random(world_seed)
-
-    if tracing:
-        tracer.emit(
-            ExecutionStarted(
-                user=user.name, server=server.name, world=world.name,
-                max_rounds=max_rounds, seed=seed,
-                rng_digest=rng_chain_digest(
-                    seed, (user_seed, server_seed, world_seed)
-                ),
-            )
-        )
-
-    # Drawn *after* the party streams so channel=None leaves them — and
-    # therefore every pre-fault execution — bitwise unchanged.
-    channel_run = (
-        channel.start(master.getrandbits(64), tracer if tracing else None)
-        if channel is not None
-        else None
-    )
-
-    user_state = user.initial_state(user_rng)
-    server_state = server.initial_state(server_rng)
-    world_state = world.initial_state(world_rng)
-
-    channels = ChannelState()
-    result = ExecutionResult(
-        transcript=Transcript() if record_transcript else None,
+    stepper = ExecutionStepper(
+        user, server, world,
+        max_rounds=max_rounds,
+        seed=seed,
+        record_transcript=record_transcript,
+        tracer=tracer,
         recording=recording,
+        channel=channel,
     )
-    result.world_states.append(world_state)
+    stepper.step_many(max_rounds)
+    return stepper.finish()
 
-    # Hoisted recording-policy flags: the hot loop below pays one branch,
-    # not attribute lookups, per retained artefact.
-    keep_rounds = recording.keep_rounds
-    view_window = recording.view_window
-    if view_window is not None:
-        result.user_view = BoundedUserView(view_window)
-    keep_view_records = view_window is None or view_window > 0
 
-    for round_index in range(max_rounds):
-        user_inbox = channels.user_inbox()
-        server_inbox = channels.server_inbox()
-        world_inbox = channels.world_inbox()
+def run_steppers(steppers: Sequence[ExecutionStepper]) -> List[ExecutionResult]:
+    """Advance every stepper in lockstep to completion; results in order.
 
-        user_state_before = user_state
-        user_state, user_out = user.step(user_state, user_inbox, user_rng)
-        server_state, server_out = server.step(server_state, server_inbox, server_rng)
-        world_state, world_out = world.step(world_state, world_inbox, world_rng)
-
-        if not isinstance(user_out, UserOutbox):
-            raise ExecutionError(f"user strategy {user.name} returned {type(user_out).__name__}")
-        if not isinstance(server_out, ServerOutbox):
-            raise ExecutionError(f"server strategy {server.name} returned {type(server_out).__name__}")
-        if not isinstance(world_out, WorldOutbox):
-            raise ExecutionError(f"world strategy {world.name} returned {type(world_out).__name__}")
-
-        channels.deliver(user_out, server_out, world_out)
-        if channel_run is not None:
-            channels.user_to_server, channels.server_to_user = channel_run.apply(
-                round_index, channels.user_to_server, channels.server_to_user
-            )
-
-        result.rounds_completed += 1
-        if keep_rounds:
-            result.rounds.append(
-                RoundRecord(
-                    index=round_index,
-                    user_inbox=user_inbox,
-                    user_outbox=user_out,
-                    server_inbox=server_inbox,
-                    server_outbox=server_out,
-                    world_inbox=world_inbox,
-                    world_outbox=world_out,
-                    user_state_after=user_state,
-                    server_state_after=server_state,
-                    world_state_after=world_state,
-                )
-            )
-        result.world_states.append(world_state)
-        if keep_view_records:
-            result.user_view.append(
-                ViewRecord(
-                    round_index=round_index,
-                    state_before=user_state_before,
-                    inbox=user_inbox,
-                    outbox=user_out,
-                    state_after=user_state,
-                )
-            )
-        else:
-            result.user_view.advance()
-        if result.transcript is not None:
-            tr = result.transcript
-            tr.record(round_index, Roles.USER, Roles.SERVER, user_out.to_server)
-            tr.record(round_index, Roles.USER, Roles.WORLD, user_out.to_world)
-            tr.record(round_index, Roles.SERVER, Roles.USER, server_out.to_user)
-            tr.record(round_index, Roles.SERVER, Roles.WORLD, server_out.to_world)
-            tr.record(round_index, Roles.WORLD, Roles.USER, world_out.to_user)
-            tr.record(round_index, Roles.WORLD, Roles.SERVER, world_out.to_server)
-
-        if tracing:
-            messages = message_bytes = 0
-            for sender, receiver, payload in (
-                (Roles.USER, Roles.SERVER, user_out.to_server),
-                (Roles.USER, Roles.WORLD, user_out.to_world),
-                (Roles.SERVER, Roles.USER, server_out.to_user),
-                (Roles.SERVER, Roles.WORLD, server_out.to_world),
-                (Roles.WORLD, Roles.USER, world_out.to_user),
-                (Roles.WORLD, Roles.SERVER, world_out.to_server),
-            ):
-                if payload:
-                    messages += 1
-                    message_bytes += len(payload)
-                    tracer.emit(
-                        MessageSent(
-                            round_index=round_index, sender=sender,
-                            receiver=receiver, payload=payload,
-                        )
-                    )
-            tracer.emit(
-                RoundExecuted(
-                    round_index=round_index, messages=messages,
-                    message_bytes=message_bytes, halted=user_out.halt,
-                )
-            )
-
-        if user_out.halt:
-            result.halted = True
-            result.user_output = user_out.output
-            break
-
-    result.final_user_state = user_state
-    if channel_run is not None:
-        result.channel_name = getattr(channel, "name", type(channel).__name__)
-    if tracing:
-        tracer.emit(
-            ExecutionFinished(
-                rounds_executed=result.rounds_completed, halted=result.halted
-            )
-        )
-    return result
+    The lockstep scheduler: each pass steps every live stepper once, so N
+    concurrent executions share one process and interleave round by
+    round.  Steppers that halt (or exhaust their ``max_rounds``) drop
+    out; the loop ends when none remain.  Results are bitwise-identical
+    to running each stepper to completion on its own (steppers share no
+    state).
+    """
+    live = [s for s in steppers if s.live]
+    while live:
+        for stepper in live:
+            stepper.step()
+        if any(not s.live for s in live):
+            live = [s for s in live if s.live]
+    return [s.finish() for s in steppers]

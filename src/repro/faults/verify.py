@@ -37,8 +37,14 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.execution import ExecutionResult, FaultyChannelLike, run_execution
+from repro.core.execution import (
+    ExecutionResult,
+    ExecutionStepper,
+    run_execution,
+    run_steppers,
+)
 from repro.core.goals import Goal
+from repro.core.interfaces import ChannelLike
 from repro.core.properties import _indications_per_round
 from repro.core.sensing import Sensing
 from repro.core.strategy import ServerStrategy, UserStrategy
@@ -175,7 +181,7 @@ def _point_runs(
     user: UserStrategy,
     servers: Sequence[ServerStrategy],
     goal: Goal,
-    channel: Optional[FaultyChannelLike],
+    channel: Optional[ChannelLike],
     seeds: Sequence[int],
     max_rounds: int,
     batch: int,
@@ -188,8 +194,8 @@ def _point_runs(
     steps chunks of runs in lockstep; each slot carries a deep-copied user
     holding a private :class:`~repro.obs.tracer.Tracer`, so per-run event
     streams stay in-order and complete (what overhead + certification
-    consume).  Both paths return identical executions — the lockstep
-    engine's parity contract, pinned by ``tests/faults`` / ``tests/core``.
+    consume).  Both paths return identical executions: both run the one
+    round body of :class:`~repro.core.execution.ExecutionStepper`.
     """
     pairs = [(server, seed) for server in servers for seed in seeds]
     results: List[
@@ -215,11 +221,9 @@ def _point_runs(
                     user.tracer = saved
             results.append((server, seed, execution, sink))
         return results
-    from repro.core.batch import BatchItem, run_execution_batch
-
     for start in range(0, len(pairs), batch):
         chunk = pairs[start : start + batch]
-        items: List[BatchItem] = []
+        steppers: List[ExecutionStepper] = []
         sinks: List[Optional[MemorySink]] = []
         for server, seed in chunk:
             slot_user = user
@@ -229,17 +233,17 @@ def _point_runs(
                 slot_user = copy.deepcopy(user)
                 slot_user.tracer = Tracer(sink=slot_sink)
             sinks.append(slot_sink)
-            items.append(
-                BatchItem(
-                    user=slot_user,
-                    server=server,
-                    world=goal.world,
-                    seed=seed,
+            steppers.append(
+                ExecutionStepper(
+                    slot_user,
+                    server,
+                    goal.world,
                     max_rounds=max_rounds,
+                    seed=seed,
                     channel=channel,
                 )
             )
-        executions = run_execution_batch(items)
+        executions = run_steppers(steppers)
         for (server, seed), execution, sink in zip(chunk, executions, sinks):
             results.append((server, seed, execution, sink))
     return results
@@ -251,7 +255,7 @@ def verify_robustness(
     goal: Goal,
     sensing: Sensing,
     *,
-    grid: Optional[Sequence[Optional[FaultyChannelLike]]] = None,
+    grid: Optional[Sequence[Optional[ChannelLike]]] = None,
     seeds: Sequence[int] = (0, 1, 2),
     max_rounds: int = 2000,
     batch: int = 1,
@@ -264,8 +268,8 @@ def verify_robustness(
     view through the sensing function, so per-round history is required.
 
     ``batch=N`` steps up to N of a grid point's runs in lockstep through
-    :func:`repro.core.batch.run_execution_batch` instead of one at a time
-    — results are identical (the lockstep engine's contract), and every
+    :func:`repro.core.execution.run_steppers` instead of one at a time
+    — results are identical (one round body serves both), and every
     run still carries its *own* in-order event stream (each lockstep slot
     gets a deep-copied user with a private tracer), so the per-run
     overhead accounting and ``certify=True`` work unchanged.

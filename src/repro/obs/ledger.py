@@ -42,11 +42,11 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Union
 from repro.core.execution import (
     FULL_RECORDING,
     ExecutionResult,
-    FaultyChannelLike,
     RecordingPolicy,
     run_execution,
 )
 from repro.core.goals import Goal, GoalOutcome
+from repro.core.interfaces import ChannelLike
 from repro.core.strategy import ServerStrategy, UserStrategy
 from repro.obs.events import GoalVerdict
 from repro.obs.sinks import JsonlSink
@@ -243,7 +243,7 @@ def file_sha256(path: Union[str, Path]) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def channel_spec(channel: Optional[FaultyChannelLike]) -> Optional[Dict[str, Any]]:
+def channel_spec(channel: Optional[ChannelLike]) -> Optional[Dict[str, Any]]:
     """The channel's self-description for the trace header, if it has one.
 
     Custom channels without a ``spec()`` (or whose schedules cannot
@@ -298,7 +298,7 @@ def record_run(
     out_dir: Union[str, Path],
     name: str = "run",
     recording: RecordingPolicy = FULL_RECORDING,
-    channel: Optional[FaultyChannelLike] = None,
+    channel: Optional[ChannelLike] = None,
     certify: bool = False,
 ) -> RecordedRun:
     """Run one traced execution and write ``<name>.jsonl`` + ``<name>.json``.

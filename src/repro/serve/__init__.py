@@ -7,7 +7,7 @@ and the batch entry points (:func:`repro.core.execution.run_execution`,
 touching the next.  This package is the service form of the same model:
 
 * :mod:`repro.serve.session` — one cast with create/step/close semantics,
-  stepped cooperatively via :class:`repro.core.stepper.ExecutionStepper`,
+  stepped cooperatively via :class:`repro.core.execution.ExecutionStepper`,
   with the same provenance trail as :func:`repro.obs.ledger.record_run`
   (certifiable trace + manifest per session);
 * :mod:`repro.serve.engine` — an asyncio :class:`~repro.serve.engine.ServeEngine`

@@ -32,8 +32,9 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.core.execution import METRICS_RECORDING, FaultyChannelLike, RecordingPolicy
+from repro.core.execution import METRICS_RECORDING, RecordingPolicy
 from repro.core.goals import Goal
+from repro.core.interfaces import ChannelLike
 from repro.core.strategy import ServerStrategy, UserStrategy
 from repro.errors import ServeError
 from repro.obs.counters import Histogram
@@ -55,7 +56,7 @@ def grid_specs(
     seeds: Sequence[int],
     max_rounds: int,
     recording: RecordingPolicy = METRICS_RECORDING,
-    channels: Sequence[Optional[FaultyChannelLike]] = (None,),
+    channels: Sequence[Optional[ChannelLike]] = (None,),
 ) -> List[SessionSpec]:
     """The sweep grid as session specs: one per server × channel × seed.
 

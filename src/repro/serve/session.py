@@ -12,7 +12,7 @@ with the trace's SHA-256 lands beside it — a served session is certifiable
 by ``python -m repro.obs certify`` like any batch run.
 
 Determinism is per-session: seeds derive through the same
-:func:`~repro.core.stepper.derive_party_seeds` chain the engine uses, so a
+:func:`~repro.core.execution.derive_party_seeds` chain the engine uses, so a
 session's results depend only on its spec, never on how it was interleaved
 with its neighbours.  :func:`derive_session_seeds` spreads one master seed
 into per-session seeds for fleets of sessions.
@@ -31,11 +31,11 @@ from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Union
 from repro.core.execution import (
     METRICS_RECORDING,
     ExecutionResult,
-    FaultyChannelLike,
+    ExecutionStepper,
     RecordingPolicy,
 )
 from repro.core.goals import Goal, GoalOutcome
-from repro.core.stepper import ExecutionStepper
+from repro.core.interfaces import ChannelLike
 from repro.core.strategy import ServerStrategy, UserStrategy
 from repro.errors import ServeError
 from repro.obs.events import ABANDON_EXPLICIT, ABANDON_REASONS, SessionAbandoned
@@ -87,7 +87,7 @@ class SessionSpec:
     seed: int = 0
     max_rounds: int = 2000
     recording: RecordingPolicy = METRICS_RECORDING
-    channel: Optional[FaultyChannelLike] = None
+    channel: Optional[ChannelLike] = None
     label: str = ""
 
 

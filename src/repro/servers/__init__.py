@@ -3,8 +3,9 @@
 Codec wrapping (:mod:`.wrappers`) turns any base server into a family of
 language-mismatched peers; concrete families cover the printer dialects
 (:mod:`.printer_servers`), interactive-proof provers honest and otherwise
-(:mod:`.provers`), control advisors (:mod:`.advisors`), password locks for
-the lower bound (:mod:`.password`) and fault injection (:mod:`.faulty`).
+(:mod:`.provers`), control advisors (:mod:`.advisors`) and password locks
+for the lower bound (:mod:`.password`).  Fault injection lives in
+:mod:`repro.faults`.
 """
 
 from repro.servers.wrappers import EncodedServer, ResettableServer
@@ -47,7 +48,6 @@ from repro.servers.password import (
     password_server_class,
     all_passwords,
 )
-from repro.servers.faulty import DroppingServer, IntermittentServer, GarblingServer
 
 __all__ = [
     "EncodedServer",
@@ -79,7 +79,4 @@ __all__ = [
     "PasswordServer",
     "password_server_class",
     "all_passwords",
-    "DroppingServer",
-    "IntermittentServer",
-    "GarblingServer",
 ]

@@ -1,9 +1,10 @@
 """The lockstep engine's contract: batching never changes results.
 
-Scalar lockstep (:func:`run_execution_batch`) must produce
-:class:`ExecutionResult` objects equal to the serial engine's, field by
-field, for arbitrary strategies — including RNG consumers, halting users,
-fault channels, and every recording policy.  The vectorized kernel
+Scalar lockstep (:func:`run_steppers` over :class:`ExecutionStepper`
+slots) must produce :class:`ExecutionResult` objects equal to the serial
+engine's, field by field, for arbitrary strategies — including RNG
+consumers, halting users, fault channels, every recording policy, and
+strategy objects shared between interleaved slots.  The vectorized kernel
 (:func:`run_tabular_batch`) must report the same verdict arithmetic the
 serial engine + referee produce over compiled casts.  numpy stays
 optional: without it, compilation declines and the scalar tier carries on.
@@ -17,13 +18,16 @@ import repro.core.batch as batch_module
 from repro.comm.messages import UserOutbox
 from repro.core.batch import (
     HAVE_NUMPY,
-    BatchItem,
     compile_tabular_cast,
-    derive_party_seeds,
-    run_execution_batch,
     run_tabular_batch,
 )
-from repro.core.execution import METRICS_RECORDING, run_execution
+from repro.core.execution import (
+    METRICS_RECORDING,
+    ExecutionStepper,
+    derive_party_seeds,
+    run_execution,
+    run_steppers,
+)
 from repro.errors import ExecutionError
 from repro.faults.channel import drop_channel
 from repro.machines.tabular import (
@@ -51,7 +55,7 @@ def serial(user, server, world, **kwargs):
 
 
 def lockstep_one(user, server, world, **kwargs):
-    return run_execution_batch([BatchItem(user, server, world, **kwargs)])[0]
+    return run_steppers([ExecutionStepper(user, server, world, **kwargs)])[0]
 
 
 def assert_executions_equal(got, expected):
@@ -87,13 +91,13 @@ class TestScalarLockstepParity:
             assert_executions_equal(got, expected)
 
     def test_halting_user_stops_its_slot_only(self):
-        items = [
-            BatchItem(IncrementingUser(limit=3), SilentServer(),
-                      CountingWorld(), seed=0, max_rounds=100),
-            BatchItem(SilentUser(), SilentServer(), CountingWorld(),
-                      seed=0, max_rounds=10),
+        steppers = [
+            ExecutionStepper(IncrementingUser(limit=3), SilentServer(),
+                             CountingWorld(), seed=0, max_rounds=100),
+            ExecutionStepper(SilentUser(), SilentServer(), CountingWorld(),
+                             seed=0, max_rounds=10),
         ]
-        halted, full = run_execution_batch(items)
+        halted, full = run_steppers(steppers)
         assert halted.halted and halted.rounds_executed == 4
         assert halted.user_output == "sent:3"
         assert not full.halted and full.rounds_executed == 10
@@ -116,18 +120,22 @@ class TestScalarLockstepParity:
         assert_executions_equal(got, expected)
 
     def test_mixed_batch_matches_pairwise_serial(self):
-        """Slots with different casts, seeds, and horizons interleave freely."""
-        items = [
-            BatchItem(RandomCoinUser(), EchoServer(), CountingWorld(),
-                      seed=s, max_rounds=r)
-            for s, r in [(0, 3), (1, 11), (2, 7), (3, 1)]
-        ]
-        got = run_execution_batch(items)
-        for item, result in zip(items, got):
+        """Slots with different seeds and horizons interleave freely.
+
+        All slots share one user, server and world object: interleaving
+        steps one slot between two steps of another, which must not leak
+        through a shared strategy.
+        """
+        user, server, world = RandomCoinUser(), EchoServer(), CountingWorld()
+        slots = [(0, 3), (1, 11), (2, 7), (3, 1)]
+        got = run_steppers([
+            ExecutionStepper(user, server, world, seed=s, max_rounds=r)
+            for s, r in slots
+        ])
+        for (seed, rounds), result in zip(slots, got):
             assert_executions_equal(
                 result,
-                serial(item.user, item.server, item.world,
-                       max_rounds=item.max_rounds, seed=item.seed),
+                serial(user, server, world, max_rounds=rounds, seed=seed),
             )
 
     def test_tracer_counters_match_serial(self):
@@ -144,12 +152,12 @@ class TestScalarLockstepParity:
         ]
 
     def test_empty_batch(self):
-        assert run_execution_batch([]) == []
+        assert run_steppers([]) == []
 
     def test_item_validation(self):
         with pytest.raises(ExecutionError):
-            BatchItem(SilentUser(), SilentServer(), CountingWorld(),
-                      max_rounds=0)
+            ExecutionStepper(SilentUser(), SilentServer(), CountingWorld(),
+                             max_rounds=0)
 
     def test_seed_derivation_matches_engine_observables(self):
         """Same master seed → same user coin stream as the serial engine."""

@@ -94,6 +94,15 @@ class TestBurstSchedule:
         fires = trace(BurstSchedule(period=8, burst=3, phase=7), seed=0, rounds=16)
         assert [r for r in range(16) if fires[r]] == [0, 1, 7, 8, 9, 15]
 
+    @pytest.mark.parametrize("on", range(1, 6))
+    @pytest.mark.parametrize("off", range(1, 6))
+    def test_on_off_duty_cycle(self, on, off):
+        """``period=on+off, burst=off, phase=on`` is down exactly in the
+        dead phase of a server live for ``on`` rounds, then dead for
+        ``off`` (the cycle ``FlakyServer`` uses for intermittent servers)."""
+        fires = trace(BurstSchedule(period=on + off, burst=off, phase=on), seed=0, rounds=61)
+        assert fires == [clock % (on + off) >= on for clock in range(61)]
+
     def test_seed_is_irrelevant(self):
         schedule = BurstSchedule(period=6, burst=2)
         assert trace(schedule, seed=1) == trace(schedule, seed=2)

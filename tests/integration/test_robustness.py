@@ -12,10 +12,18 @@ import random
 
 from repro.comm.codecs import codec_family
 from repro.core.execution import run_execution
+from repro.faults.channel import (
+    CORRUPT,
+    SERVER_TO_USER,
+    ChannelFault,
+    FaultyChannel,
+    drop_channel,
+)
+from repro.faults.schedules import BernoulliSchedule, BurstSchedule
+from repro.faults.servers import FlakyServer
 from repro.mathx.modular import Field
 from repro.qbf.generators import random_qbf
 from repro.servers.advisors import AdvisorServer
-from repro.servers.faulty import DroppingServer, GarblingServer, IntermittentServer
 from repro.servers.provers import HonestProverServer
 from repro.servers.wrappers import EncodedServer
 from repro.universal.compact import CompactUniversalUser
@@ -43,21 +51,24 @@ class TestDelegationUnderFaults:
 
     def test_garbled_prover_replies_never_cause_wrong_answers(self):
         goal = delegation_goal([random_qbf(random.Random(1), 2)])
-        server = GarblingServer(
-            EncodedServer(HonestProverServer(F), CODECS[1]), garble_probability=0.3
+        server = EncodedServer(HonestProverServer(F), CODECS[1])
+        channel = FaultyChannel(
+            [ChannelFault(CORRUPT, BernoulliSchedule(0.3), SERVER_TO_USER)]
         )
         for seed in range(3):
             result = run_execution(
-                self._universal(), server, goal.world, max_rounds=4000, seed=seed
+                self._universal(), server, goal.world, max_rounds=4000,
+                seed=seed, channel=channel,
             )
             if result.halted:
                 assert goal.evaluate(result).achieved
 
     def test_dropping_prover_still_delegates(self):
         goal = delegation_goal([random_qbf(random.Random(2), 2)])
-        server = DroppingServer(HonestProverServer(F), drop_probability=0.25)
         result = run_execution(
-            self._universal(), server, goal.world, max_rounds=6000, seed=1
+            self._universal(), HonestProverServer(F), goal.world,
+            max_rounds=6000, seed=1,
+            channel=drop_channel(0.25, direction=SERVER_TO_USER),
         )
         assert result.halted
         assert goal.evaluate(result).achieved
@@ -67,8 +78,10 @@ class TestControlUnderFaults:
     def test_intermittent_advisor_still_converges(self):
         law = random_law(random.Random(5))
         goal = control_goal(law, deadline=20)
-        server = IntermittentServer(
-            EncodedServer(AdvisorServer(law), CODECS[2]), on_rounds=12, off_rounds=4
+        # Live for 12 rounds, then dead for 4.
+        server = FlakyServer(
+            EncodedServer(AdvisorServer(law), CODECS[2]),
+            BurstSchedule(period=16, burst=4, phase=12),
         )
         user = CompactUniversalUser(
             ListEnumeration(follower_user_class(CODECS)),

@@ -18,12 +18,13 @@ from repro.comm.codecs import codec_family
 from repro.core.execution import run_execution
 from repro.core.helpfulness import is_helpful
 from repro.core.strategy import SilentServer
+from repro.faults.schedules import BernoulliSchedule
+from repro.faults.servers import FlakyServer
 from repro.servers.advisors import (
     AdvisorServer,
     MisleadingAdvisorServer,
     advisor_server_class,
 )
-from repro.servers.faulty import DroppingServer
 from repro.servers.wrappers import EncodedServer
 from repro.universal.compact import CompactUniversalUser
 from repro.universal.enumeration import ListEnumeration
@@ -40,7 +41,9 @@ MIXED_CLASS = (
     + [
         MisleadingAdvisorServer(LAW),
         SilentServer(),
-        DroppingServer(EncodedServer(AdvisorServer(LAW), CODECS[1]), 0.15),
+        FlakyServer(
+            EncodedServer(AdvisorServer(LAW), CODECS[1]), BernoulliSchedule(0.15)
+        ),
     ]
 )
 

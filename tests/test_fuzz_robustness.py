@@ -49,7 +49,8 @@ def all_server_strategies():
         HonestCountingServer,
         OverflowCountingServer,
     )
-    from repro.servers.faulty import DroppingServer, GarblingServer, IntermittentServer
+    from repro.faults.schedules import BernoulliSchedule, BurstSchedule
+    from repro.faults.servers import ByzantineWrapper, FlakyServer
     from repro.servers.guides import GuideServer, MisleadingGuideServer
     from repro.servers.password import PasswordServer
     from repro.servers.printer_servers import (
@@ -89,9 +90,9 @@ def all_server_strategies():
         PasswordServer("101", AdvisorServer(law)),
         EncodedServer(SpacePrinter(), PrefixCodec("~")),
         ResettableServer(TaggedPrinter(), idle_reset=2),
-        DroppingServer(AdvisorServer(law), 0.5),
-        GarblingServer(SpacePrinter(), 0.5),
-        IntermittentServer(AdvisorServer(law), 2, 2),
+        FlakyServer(AdvisorServer(law), BernoulliSchedule(0.5)),
+        ByzantineWrapper(SpacePrinter(), BernoulliSchedule(0.5)),
+        FlakyServer(AdvisorServer(law), BurstSchedule(period=4, burst=2, phase=2)),
         babel_server(IdentityCodec(), community_names(3), ["red", "green"]),
     ]
 

@@ -8,11 +8,18 @@ import pytest
 
 from repro.comm.codecs import IdentityCodec
 from repro.core.execution import run_execution
+from repro.faults.channel import (
+    CORRUPT,
+    SERVER_TO_USER,
+    ChannelFault,
+    FaultyChannel,
+    drop_channel,
+)
+from repro.faults.schedules import BernoulliSchedule
 from repro.mathx.modular import Field
 from repro.qbf.formulas import Var
 from repro.qbf.generators import random_cnf
 from repro.servers.counting_provers import HonestCountingServer
-from repro.servers.faulty import DroppingServer, GarblingServer
 from repro.users.counting_users import CountingUser
 from repro.worlds.counting import counting_goal
 
@@ -23,16 +30,21 @@ GOAL = counting_goal([random_cnf(random.Random(1), 4, 5)])
 class TestFaultTolerance:
     def test_survives_dropped_replies(self):
         user = CountingUser(IdentityCodec(), F, resend_every=4)
-        server = DroppingServer(HonestCountingServer(F), drop_probability=0.3)
-        result = run_execution(user, server, GOAL.world, max_rounds=2000, seed=5)
+        result = run_execution(
+            user, HonestCountingServer(F), GOAL.world, max_rounds=2000, seed=5,
+            channel=drop_channel(0.3, direction=SERVER_TO_USER),
+        )
         assert GOAL.evaluate(result).achieved
 
     def test_garbled_replies_never_cause_wrong_count(self):
         user = CountingUser(IdentityCodec(), F, resend_every=4)
-        server = GarblingServer(HonestCountingServer(F), garble_probability=0.3)
+        channel = FaultyChannel(
+            [ChannelFault(CORRUPT, BernoulliSchedule(0.3), SERVER_TO_USER)]
+        )
         for seed in range(3):
             result = run_execution(
-                user, server, GOAL.world, max_rounds=2000, seed=seed
+                user, HonestCountingServer(F), GOAL.world, max_rounds=2000,
+                seed=seed, channel=channel,
             )
             if result.halted:
                 assert GOAL.evaluate(result).achieved

@@ -8,9 +8,9 @@ import pytest
 
 from repro.comm.codecs import IdentityCodec, ReverseCodec, codec_family
 from repro.core.execution import run_execution
+from repro.faults.channel import SERVER_TO_USER, drop_channel
 from repro.mathx.modular import Field
 from repro.qbf.generators import random_qbf
-from repro.servers.faulty import DroppingServer
 from repro.servers.provers import (
     CheatingProverServer,
     HonestProverServer,
@@ -25,8 +25,10 @@ INSTANCES = [random_qbf(random.Random(s), 2) for s in (1, 4)]
 GOAL = delegation_goal(INSTANCES)
 
 
-def run_pair(user, server, max_rounds=300, seed=0):
-    result = run_execution(user, server, GOAL.world, max_rounds=max_rounds, seed=seed)
+def run_pair(user, server, max_rounds=300, seed=0, channel=None):
+    result = run_execution(
+        user, server, GOAL.world, max_rounds=max_rounds, seed=seed, channel=channel
+    )
     return GOAL.evaluate(result), result
 
 
@@ -51,8 +53,10 @@ class TestHonestInteraction:
     def test_survives_reply_drops(self):
         """Request re-sending recovers from lost prover replies."""
         user = DelegationUser(IdentityCodec(), F, resend_every=4)
-        server = DroppingServer(HonestProverServer(F), drop_probability=0.3)
-        outcome, _ = run_pair(user, server, max_rounds=2000, seed=7)
+        outcome, _ = run_pair(
+            user, HonestProverServer(F), max_rounds=2000, seed=7,
+            channel=drop_channel(0.3, direction=SERVER_TO_USER),
+        )
         assert outcome.achieved
 
 
