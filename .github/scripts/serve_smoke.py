@@ -23,8 +23,8 @@ repo's standard of evidence:
 Exits non-zero on any parity break, failed session, or uncertifiable
 trace, so the CI step is a real gate, not just an artifact producer.
 
-Runs numpy-free on purpose: the smoke jobs install only pytest, pinning
-the service to the stdlib.
+Needs only the standard library on purpose: the smoke jobs install only
+pytest, pinning the service to the stdlib.
 """
 
 from __future__ import annotations

@@ -8,10 +8,8 @@ invoke this script with both files::
 
 The gate is throughput, not wall-clock: ``cells_per_s`` (serial cells per
 second) is the one figure that is comparable across runs of the same
-machine class, and ``batched_cells_per_s`` (the vectorized lockstep
-backend) gates the same way when both files carry it.  A candidate more
-than ``--tolerance`` (default 25%) slower than baseline fails with exit
-code 1.  Wall-clock fields and speedups are printed for context but never
+machine class.  A candidate more than ``--tolerance`` (default 25%)
+slower than baseline fails with exit code 1.  Wall-clock fields and speedups are printed for context but never
 gate — CI runners vary too much in core count for the parallel numbers to
 be stable.
 
@@ -21,11 +19,9 @@ serve capacity gate compares ``BENCH_serve.json`` files the same way::
     python benchmarks/check_bench_regression.py \
         baseline_serve.json BENCH_serve.json --metric sessions_per_s
 
-(The secondary ``batched_cells_per_s`` check only applies to the default
-``cells_per_s`` metric.  The serve gate also bounds tail latency: when
-both files carry ``latency_p95_ms`` — the loadgen's streaming-histogram
-p95 — the candidate may not exceed the baseline by more than the same
-tolerance.)
+(The serve gate also bounds tail latency: when both files carry
+``latency_p95_ms`` — the loadgen's streaming-histogram p95 — the
+candidate may not exceed the baseline by more than the same tolerance.)
 
 Baselines recorded on a different core count are reported but not
 enforced, since serial throughput also shifts with the machine class.
@@ -157,26 +153,6 @@ def main(argv: list[str] | None = None) -> int:
             f"(> {args.tolerance * 100:.0f}% allowed)"
         )
         return 1
-
-    # The batched backend gates only when both sides measured it (older
-    # baselines predate it; numpy-less runs skip the batched bench), and
-    # only alongside the default serial metric.
-    base_batched = baseline.get("batched_cells_per_s")
-    cand_batched = candidate.get("batched_cells_per_s")
-    if args.metric == "cells_per_s" and base_batched and cand_batched:
-        batched_ratio = float(cand_batched) / float(base_batched)
-        print(
-            f"batched   : {float(cand_batched):.2f} vs "
-            f"{float(base_batched):.2f} cells/s "
-            f"(ratio {batched_ratio:.3f}, floor {1 - args.tolerance:.2f})"
-        )
-        if batched_ratio < 1 - args.tolerance:
-            print(
-                f"FAIL: batched throughput regressed by "
-                f"{(1 - batched_ratio) * 100:.1f}% "
-                f"(> {args.tolerance * 100:.0f}% allowed)"
-            )
-            return 1
 
     # Tail latency gates the serve bench the other way around: higher is
     # worse.  Only when both sides measured it (burst runs without

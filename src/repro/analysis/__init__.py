@@ -23,11 +23,7 @@ from repro.analysis.runner import (
     sweep,
     sweep_goals,
 )
-from repro.analysis.batch import (
-    BatchExecutor,
-)
 from repro.analysis.parallel import (
-    BatchProcessExecutor,
     ProcessExecutor,
     SerialExecutor,
     ensure_picklable,
@@ -54,8 +50,6 @@ __all__ = [
     "sweep_goals",
     "SerialExecutor",
     "ProcessExecutor",
-    "BatchExecutor",
-    "BatchProcessExecutor",
     "ensure_picklable",
     "format_table",
     "format_series",

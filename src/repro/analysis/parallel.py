@@ -19,10 +19,10 @@ and :func:`~repro.analysis.runner.sweep_goals` accept via ``executor=``.
   content-addressed blob that each worker unpickles once and caches, so
   per-chunk payloads are light :class:`CellRef` index tuples; and chunk
   sizes adapt to the measured per-cell cost (``chunk_size="auto"``).
-* :class:`BatchProcessExecutor` — processes × lockstep: each worker runs
-  its sub-grid through :class:`repro.analysis.batch.BatchExecutor`, so
-  the process fan-out multiplies with the batched backend's per-process
-  throughput (see "Batched execution" in ``docs/PERFORMANCE.md``).
+
+Every cell runs on the one serial engine path
+(:func:`repro.core.execution.run_execution`); there is no lockstep or
+vectorized backend (``docs/PERFORMANCE.md`` says why).
 
 Determinism contract: a backend may only change *where* cells run, never
 what they compute.  The parity tests in ``tests/analysis/test_parallel.py``
@@ -197,17 +197,15 @@ def _resolve_cast(digest: str, blob: bytes) -> SweepCast:
 
 
 def run_cast_chunk(
-    payload: Tuple[str, bytes, Tuple[CellRef, ...], Optional[int]],
+    payload: Tuple[str, bytes, Tuple[CellRef, ...]],
 ) -> List[Tuple[int, SweepCell]]:
     """Worker entry point for cast-backed chunks.
 
-    ``payload`` is ``(digest, blob, refs, batch_width)``; the cast blob is
-    unpickled once per worker per digest (see :data:`_WORKER_CASTS`).
-    ``batch_width=None`` runs the cells one at a time (plain process
-    semantics); an integer width runs them through the lockstep
-    :class:`~repro.analysis.batch.BatchExecutor` (processes × lockstep).
+    ``payload`` is ``(digest, blob, refs)``; the cast blob is unpickled
+    once per worker per digest (see :data:`_WORKER_CASTS`), and the cells
+    run one at a time, tagged with their indices.
     """
-    digest, blob, refs, batch_width = payload
+    digest, blob, refs = payload
     cast = _resolve_cast(digest, blob)
     tasks = [
         CellTask(
@@ -222,12 +220,7 @@ def run_cast_chunk(
         )
         for ref in refs
     ]
-    if batch_width is None:
-        return [(task.index, task.run()) for task in tasks]
-    from repro.analysis.batch import BatchExecutor
-
-    cells = BatchExecutor(width=batch_width).map_cells(tasks)
-    return [(task.index, cell) for task, cell in zip(tasks, cells)]
+    return run_cell_chunk(tasks)
 
 
 class ProcessExecutor:
@@ -315,10 +308,6 @@ class ProcessExecutor:
                 atexit.register(self.close)
         return self._pool
 
-    def _worker_batch_width(self) -> Optional[int]:
-        """Lockstep width workers should use (None = plain, one at a time)."""
-        return None
-
     def _plan_chunk_size(self, probe_seconds: Optional[float], n_cells: int) -> int:
         """Pick the cells-per-chunk for this dispatch."""
         if isinstance(self._chunk_size, int):
@@ -352,10 +341,9 @@ class ProcessExecutor:
             chunks = [
                 tuple(pending[i : i + size]) for i in range(0, len(pending), size)
             ]
-            width = self._worker_batch_width()
             pool = self._ensure_pool()
             futures = [
-                pool.submit(run_cast_chunk, (digest, blob, chunk, width))
+                pool.submit(run_cast_chunk, (digest, blob, chunk))
                 for chunk in chunks
             ]
             for future in futures:
@@ -363,66 +351,5 @@ class ProcessExecutor:
         # Deterministic merge: sort by task index whatever the completion
         # order was (futures are drained in submission order; the sort is
         # belt-and-braces for future backends).
-        indexed.sort(key=lambda pair: pair[0])
-        return [cell for _, cell in indexed]
-
-
-class BatchProcessExecutor(ProcessExecutor):
-    """Processes × lockstep: every worker batch-steps its sub-grid.
-
-    The multiplicative backend: process fan-out from
-    :class:`ProcessExecutor` (persistent pool, shared cast), per-worker
-    throughput from :class:`~repro.analysis.batch.BatchExecutor` (lockstep
-    width ``width``).  Defaults to one contiguous sub-grid per worker —
-    lockstep efficiency grows with slot count, so bigger chunks beat finer
-    load-balancing here.
-    """
-
-    backend_name = "batch-process"
-
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        *,
-        width: int = 1024,
-        chunk_size: Union[int, str] = "auto",
-    ) -> None:
-        if width < 1:
-            raise ValueError(f"width must be >= 1: {width}")
-        super().__init__(max_workers, chunk_size=chunk_size)
-        self._width = width
-
-    @property
-    def batch_width(self) -> int:
-        return self._width
-
-    def _worker_batch_width(self) -> Optional[int]:
-        return self._width
-
-    def _plan_chunk_size(self, probe_seconds: Optional[float], n_cells: int) -> int:
-        if isinstance(self._chunk_size, int):
-            return self._chunk_size
-        # Even sub-grids, no cost probing: a lockstep worker amortises
-        # per-round overhead across its whole chunk, so maximal chunks win.
-        return max(1, math.ceil(n_cells / self.workers))
-
-    def map_cells(self, tasks: Sequence[CellTask]) -> List[SweepCell]:
-        if not tasks:
-            return []
-        for task in tasks:
-            ensure_picklable(task)
-        cast, refs = build_sweep_cast(tasks)
-        blob = pickle.dumps(cast, protocol=pickle.HIGHEST_PROTOCOL)
-        digest = hashlib.sha256(blob).hexdigest()
-        size = self._plan_chunk_size(None, len(refs))
-        chunks = [tuple(refs[i : i + size]) for i in range(0, len(refs), size)]
-        pool = self._ensure_pool()
-        futures = [
-            pool.submit(run_cast_chunk, (digest, blob, chunk, self._width))
-            for chunk in chunks
-        ]
-        indexed: List[Tuple[int, SweepCell]] = []
-        for future in futures:
-            indexed.extend(future.result())
         indexed.sort(key=lambda pair: pair[0])
         return [cell for _, cell in indexed]

@@ -257,7 +257,6 @@ def sweep(
     max_rounds: int = 2000,
     telemetry: bool = False,
     executor: Optional["SweepExecutorLike"] = None,
-    batch: Optional[int] = None,
     faults: Optional[Sequence[Optional[ChannelLike]]] = None,
     ledger_dir: Optional[Union[str, Path]] = None,
     certify: bool = False,
@@ -269,11 +268,6 @@ def sweep(
     ``executor`` dispatches the cells (``None`` = in-process, in order;
     see :mod:`repro.analysis.parallel` for the process-pool backend) —
     cells are independent, so every backend returns the same result.
-    ``batch=N`` is shorthand for
-    ``executor=repro.analysis.batch.BatchExecutor(width=N)`` — the
-    lockstep backend that steps up to N cells together per round,
-    vectorizing table-compilable casts (see ``docs/PERFORMANCE.md``);
-    passing both ``executor`` and ``batch`` is a ``ValueError``.
 
     ``faults`` adds a degradation axis: a sequence of fault-channel
     configurations (``None`` entries mean a perfect link), crossed with
@@ -297,7 +291,6 @@ def sweep(
     """
     if certify and ledger_dir is None:
         raise ValueError("sweep(certify=True) requires ledger_dir")
-    executor = _resolve_executor(executor, batch)
     channels = list(faults) if faults is not None else [None]
     tasks = [
         CellTask(
@@ -318,30 +311,12 @@ def sweep(
                 if executor is None
                 else getattr(executor, "backend_name", type(executor).__name__)
             ),
-            batch_width=getattr(executor, "batch_width", None),
         )
         if certify:
             from repro.obs.certify import certify_sweep
 
             certify_sweep(Path(ledger_dir))
     return result
-
-
-def _resolve_executor(
-    executor: Optional["SweepExecutorLike"], batch: Optional[int]
-) -> Optional["SweepExecutorLike"]:
-    """Turn the ``batch=`` shorthand into a lockstep executor.
-
-    Lazy import: sweeps that never batch (the default path) must not load
-    the batch backend.
-    """
-    if batch is None:
-        return executor
-    if executor is not None:
-        raise ValueError("pass either executor= or batch=, not both")
-    from repro.analysis.batch import BatchExecutor
-
-    return BatchExecutor(width=batch)
 
 
 def _write_sweep_ledger(
@@ -351,7 +326,6 @@ def _write_sweep_ledger(
     wall_time_s: float,
     *,
     backend: str = "serial",
-    batch_width: Optional[int] = None,
 ) -> "SweepManifest":
     """One manifest per cell plus the linking sweep manifest.
 
@@ -393,7 +367,6 @@ def _write_sweep_ledger(
         wall_time_s=round(wall_time_s, 6),
         git_sha=sha,
         backend=backend,
-        batch_width=batch_width,
     )
     write_manifest(sweep_manifest, directory / "sweep.json")
     return sweep_manifest
@@ -407,15 +380,12 @@ def sweep_goals(
     max_rounds: int = 2000,
     telemetry: bool = False,
     executor: Optional["SweepExecutorLike"] = None,
-    batch: Optional[int] = None,
 ) -> List[SweepCell]:
     """Sweep over (goal, server) pairs — for world-class non-determinism.
 
     Used when the adversary picks the *world* too (e.g. one control goal
     per hidden law): each pair gets a fresh user instance from the factory.
-    ``batch=`` selects the lockstep backend exactly as in :func:`sweep`.
     """
-    executor = _resolve_executor(executor, batch)
     tasks = [
         CellTask(
             index=i, user=user_factory(), server=server, goal=goal,

@@ -9,12 +9,14 @@ the reply reaches the user in round *t+2*.
 
 One round body serves every caller.  :class:`ExecutionStepper` holds one
 execution and advances it a round per :meth:`~ExecutionStepper.step`;
-:func:`run_execution` drives a stepper to completion in one call, the
-session service (:mod:`repro.serve`) parks steppers between scheduler
-slices, and :func:`run_steppers` interleaves many of them round by round
-in one process.  Because all three share the one body, they agree bitwise
-by construction; ``tests/core/test_engine_golden.py`` pins what that body
-computes.
+:func:`run_execution` drives a stepper to completion in one call, and
+the session service (:mod:`repro.serve`) parks steppers between scheduler
+slices of :meth:`~ExecutionStepper.step_many`, interleaving many sessions
+in one process.  Because both share the one body, they agree bitwise by
+construction; ``tests/core/test_engine_golden.py`` pins what that body
+computes, and ``tests/core/test_batch.py`` pins interleaved-slice parity.
+Sweeps, fault grids and robustness checks all run on
+:func:`run_execution`, one execution at a time.
 
 The engine records the full world-state history (goal achievement is defined
 on it), the user's local view (sensing is defined on it), and optionally a
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.comm.channels import ChannelState, Roles
 from repro.comm.messages import ServerInbox, ServerOutbox, UserInbox, UserOutbox, WorldInbox, WorldOutbox
@@ -505,22 +507,3 @@ def run_execution(
     )
     stepper.step_many(max_rounds)
     return stepper.finish()
-
-
-def run_steppers(steppers: Sequence[ExecutionStepper]) -> List[ExecutionResult]:
-    """Advance every stepper in lockstep to completion; results in order.
-
-    The lockstep scheduler: each pass steps every live stepper once, so N
-    concurrent executions share one process and interleave round by
-    round.  Steppers that halt (or exhaust their ``max_rounds``) drop
-    out; the loop ends when none remain.  Results are bitwise-identical
-    to running each stepper to completion on its own (steppers share no
-    state).
-    """
-    live = [s for s in steppers if s.live]
-    while live:
-        for stepper in live:
-            stepper.step()
-        if any(not s.live for s in live):
-            live = [s for s in live if s.live]
-    return [s.finish() for s in steppers]

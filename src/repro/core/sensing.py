@@ -61,7 +61,7 @@ class IncrementalSensing:
     def __eq__(self, other: object) -> bool:
         """Structural equality: same monitor type, same slot contents.
 
-        Universal-user states embed their monitors, and the serve/batch
+        Universal-user states embed their monitors, and the serve/stepper
         parity suites compare those states structurally — two runs of the
         same cast/seed must produce *equal* states, not merely equivalent
         ones.  Subclasses keep all state in ``__slots__``, so comparing

@@ -61,7 +61,7 @@ class UserView:
         """Structural equality: same rounds seen, same retained records.
 
         Views compare by content, not identity, so two executions of the
-        same cast/seed have *equal* results — the property the batch and
+        same cast/seed have *equal* results — the property the stepper and
         serve parity suites assert end to end.  Comparing ``len`` (total
         rounds, which for bounded views exceeds the retained count) keeps
         a bounded view distinct from a truncated full view.

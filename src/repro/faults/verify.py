@@ -32,17 +32,11 @@ grid point names an exactly replayable execution.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.execution import (
-    ExecutionResult,
-    ExecutionStepper,
-    run_execution,
-    run_steppers,
-)
+from repro.core.execution import ExecutionResult, run_execution
 from repro.core.goals import Goal
 from repro.core.interfaces import ChannelLike
 from repro.core.properties import _indications_per_round
@@ -184,25 +178,20 @@ def _point_runs(
     channel: Optional[ChannelLike],
     seeds: Sequence[int],
     max_rounds: int,
-    batch: int,
     user_traceable: bool,
 ) -> List[Tuple[ServerStrategy, int, ExecutionResult, Optional[MemorySink]]]:
-    """All of one grid point's runs, server-major, on either engine path.
+    """All of one grid point's runs, server-major, one at a time.
 
-    ``batch == 1`` is the serial reference: one :func:`run_execution` per
-    (server, seed), borrowing the original user's ``tracer``.  ``batch > 1``
-    steps chunks of runs in lockstep; each slot carries a deep-copied user
-    holding a private :class:`~repro.obs.tracer.Tracer`, so per-run event
-    streams stay in-order and complete (what overhead + certification
-    consume).  Both paths return identical executions: both run the one
-    round body of :class:`~repro.core.execution.ExecutionStepper`.
+    One :func:`run_execution` per (server, seed); a traceable user's
+    ``tracer`` is borrowed per run and pointed at a fresh
+    :class:`~repro.obs.sinks.MemorySink`, so each run's event stream is
+    in-order and complete (what overhead + certification consume).
     """
-    pairs = [(server, seed) for server in servers for seed in seeds]
     results: List[
         Tuple[ServerStrategy, int, ExecutionResult, Optional[MemorySink]]
     ] = []
-    if batch == 1:
-        for server, seed in pairs:
+    for server in servers:
+        for seed in seeds:
             sink = MemorySink() if user_traceable else None
             saved = user.tracer if user_traceable else None
             if user_traceable:
@@ -220,32 +209,6 @@ def _point_runs(
                 if user_traceable:
                     user.tracer = saved
             results.append((server, seed, execution, sink))
-        return results
-    for start in range(0, len(pairs), batch):
-        chunk = pairs[start : start + batch]
-        steppers: List[ExecutionStepper] = []
-        sinks: List[Optional[MemorySink]] = []
-        for server, seed in chunk:
-            slot_user = user
-            slot_sink: Optional[MemorySink] = None
-            if user_traceable:
-                slot_sink = MemorySink()
-                slot_user = copy.deepcopy(user)
-                slot_user.tracer = Tracer(sink=slot_sink)
-            sinks.append(slot_sink)
-            steppers.append(
-                ExecutionStepper(
-                    slot_user,
-                    server,
-                    goal.world,
-                    max_rounds=max_rounds,
-                    seed=seed,
-                    channel=channel,
-                )
-            )
-        executions = run_steppers(steppers)
-        for (server, seed), execution, sink in zip(chunk, executions, sinks):
-            results.append((server, seed, execution, sink))
     return results
 
 
@@ -258,7 +221,6 @@ def verify_robustness(
     grid: Optional[Sequence[Optional[ChannelLike]]] = None,
     seeds: Sequence[int] = (0, 1, 2),
     max_rounds: int = 2000,
-    batch: int = 1,
     certify: bool = False,
 ) -> RobustnessReport:
     """Sweep the fault grid and measure empirical safety/viability margins.
@@ -266,13 +228,6 @@ def verify_robustness(
     Every (channel, server, seed) triple is one full execution under the
     default (FULL) recording policy — the safety check replays the user's
     view through the sensing function, so per-round history is required.
-
-    ``batch=N`` steps up to N of a grid point's runs in lockstep through
-    :func:`repro.core.execution.run_steppers` instead of one at a time
-    — results are identical (one round body serves both), and every
-    run still carries its *own* in-order event stream (each lockstep slot
-    gets a deep-copied user with a private tracer), so the per-run
-    overhead accounting and ``certify=True`` work unchanged.
 
     With ``certify=True`` (universal users only), every run's in-memory
     event stream is additionally handed to
@@ -285,8 +240,6 @@ def verify_robustness(
     """
     if grid is None:
         grid = default_fault_grid()
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1: {batch}")
     # Universal users expose a reassignable ``tracer``; borrowing it per
     # run yields the event stream the overhead accounting reads.  Tracing
     # is read-only, so every traced run is bitwise-identical to untraced.
@@ -298,7 +251,7 @@ def verify_robustness(
         achieved_rounds: List[int] = []
         overhead_ratios: List[float] = []
         for server, seed, execution, sink in _point_runs(
-            user, servers, goal, channel, seeds, max_rounds, batch, user_traceable
+            user, servers, goal, channel, seeds, max_rounds, user_traceable
         ):
             runs += 1
             outcome = goal.evaluate(execution)

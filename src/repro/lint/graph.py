@@ -907,10 +907,7 @@ _BLOCKING_CALLS = frozenset(
 )
 
 #: Project classes whose construction spins up real OS resources.
-_SPINUP_CLASS_SUFFIXES: Tuple[str, ...] = (
-    ".ProcessExecutor",
-    ".BatchProcessExecutor",
-)
+_SPINUP_CLASS_SUFFIXES: Tuple[str, ...] = (".ProcessExecutor",)
 
 
 def _external_primitive(external: Sequence[str]) -> Optional[str]:

@@ -1,35 +1,31 @@
-"""Tabular strategies: finite-state parties the batched engine can vectorize.
+"""Tabular strategies: finite-state parties defined by lookup tables.
 
-:mod:`repro.core.batch` defines *what* a vectorizable party is — a
-:class:`~repro.core.batch.TabularParty` table over an interned message
-alphabet.  This module provides the concrete pieces:
-
+* :class:`TabularParty` — a finite-state party as dense transition and
+  output tables over an interned message alphabet.
 * :class:`TabularUser` / :class:`TabularServer` / :class:`TabularWorld` —
-  strategy adapters that run a table scalarly through the ordinary engine
-  *and* hand the same table to the vectorized kernel.  One definition, two
-  execution tiers, parity by construction.
-* Cast builders for the **relay goal** — the vectorizable analogue of the
+  strategy adapters that step such a table through the ordinary engine.
+* Cast builders for the **relay goal** — a table-defined analogue of the
   control experiments' language-mismatch setting: the world cycles through
   challenge symbols, the user relays each challenge to the server, the
   server answers in *its* vocabulary (a permutation codec), and the user's
   fixed decoder must invert it for the world to score the echo correct.
   A (decoder, server-class) sweep over these casts has exactly one
   achieving cell per matching codec — the same shape as the password and
-  advisor grids, at vector throughput.
+  advisor grids.  The serve ``relay`` family (:mod:`repro.serve.loadgen`)
+  is built from these casts.
 
 Every adapter here is deterministic and RNG-free (states are plain ints,
-``initial_state`` ignores its rng), which is precisely the condition the
-vectorized kernel needs; the scalar adapters remain full citizens of the
-ordinary engine, usable in any sweep, fault grid, or trace.
+``initial_state`` ignores its rng), and usable in any sweep, fault grid,
+or trace.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
-    FrozenSet,
     List,
     Mapping,
     Optional,
@@ -46,7 +42,6 @@ from repro.comm.messages import (
     WorldInbox,
     WorldOutbox,
 )
-from repro.core.batch import TabularParty
 from repro.core.goals import CompactGoal
 from repro.core.referees import LastStateCompactReferee
 from repro.core.strategy import ServerStrategy, UserStrategy, WorldStrategy
@@ -54,8 +49,58 @@ from repro.core.strategy import ServerStrategy, UserStrategy, WorldStrategy
 Table = Tuple[Tuple[Tuple[int, ...], ...], ...]
 
 
+@dataclass(frozen=True)
+class TabularParty:
+    """A finite-state party over an interned message alphabet.
+
+    ``next_state[s][a][b]`` is the state after reading symbol index ``a``
+    on the party's first incoming channel and ``b`` on its second;
+    ``out_a``/``out_b`` give the emitted symbol indices for the party's
+    two outgoing channels.  Channel order follows the role:
+
+    * user — in: (from_server, from_world); out: (to_server, to_world)
+    * server — in: (from_user, from_world); out: (to_user, to_world)
+    * world — in: (from_user, from_server); out: (to_user, to_server)
+
+    Index 0 is :data:`~repro.comm.messages.SILENCE`.
+    """
+
+    n_symbols: int
+    initial_state: int
+    next_state: Table
+    out_a: Table
+    out_b: Table
+
+    def __post_init__(self) -> None:
+        n = self.n_states
+        if n == 0:
+            raise ValueError("tabular party needs at least one state")
+        if not 0 <= self.initial_state < n:
+            raise ValueError(f"initial state out of range: {self.initial_state}")
+        for name, table in (
+            ("next_state", self.next_state),
+            ("out_a", self.out_a),
+            ("out_b", self.out_b),
+        ):
+            if len(table) != n:
+                raise ValueError(f"{name} row count != next_state row count")
+            bound = n if name == "next_state" else self.n_symbols
+            for plane in table:
+                if len(plane) != self.n_symbols:
+                    raise ValueError(f"{name} plane width != alphabet size")
+                for row in plane:
+                    if len(row) != self.n_symbols:
+                        raise ValueError(f"{name} row width != alphabet size")
+                    if any(not 0 <= v < bound for v in row):
+                        raise ValueError(f"{name} entry out of range")
+
+    @property
+    def n_states(self) -> int:
+        return len(self.next_state)
+
+
 class _TabularBase:
-    """Shared mechanics: a local alphabet plus a party table over it.
+    """Shared mechanics: an alphabet plus a party table over it.
 
     ``alphabet[0]`` must be :data:`~repro.comm.messages.SILENCE`; incoming
     messages outside the alphabet read as index 0, mirroring
@@ -81,11 +126,6 @@ class _TabularBase:
         return self._label
 
     @property
-    def party(self) -> TabularParty:
-        """The underlying table (over this strategy's *local* alphabet)."""
-        return self._party
-
-    @property
     def alphabet(self) -> Tuple[str, ...]:
         return self._alphabet
 
@@ -102,64 +142,6 @@ class _TabularBase:
             party.next_state[state][a][b],
             self._alphabet[party.out_a[state][a][b]],
             self._alphabet[party.out_b[state][a][b]],
-        )
-
-    # -- TabularStrategy protocol -------------------------------------------
-
-    def tabular_symbols(self, inputs: FrozenSet[str]) -> FrozenSet[str]:
-        """All symbols this party's output tables can ever emit."""
-        party = self._party
-        emitted = set()
-        for table in (party.out_a, party.out_b):
-            for plane in table:
-                for row in plane:
-                    emitted.update(row)
-        return frozenset(self._alphabet[i] for i in emitted)
-
-    def tabular_party(self, alphabet: Tuple[str, ...]) -> TabularParty:
-        """Re-index the local table over the compiler's global alphabet."""
-        local_in = [self._in(symbol) for symbol in alphabet]
-        try:
-            local_out = {
-                i: alphabet.index(symbol) for i, symbol in enumerate(self._alphabet)
-            }
-        except ValueError as error:  # pragma: no cover - closure prevents this
-            raise ValueError(f"symbol missing from global alphabet: {error}")
-        party = self._party
-        n = len(alphabet)
-        next_state = tuple(
-            tuple(
-                tuple(party.next_state[s][local_in[a]][local_in[b]] for b in range(n))
-                for a in range(n)
-            )
-            for s in range(party.n_states)
-        )
-        out_a = tuple(
-            tuple(
-                tuple(
-                    local_out[party.out_a[s][local_in[a]][local_in[b]]]
-                    for b in range(n)
-                )
-                for a in range(n)
-            )
-            for s in range(party.n_states)
-        )
-        out_b = tuple(
-            tuple(
-                tuple(
-                    local_out[party.out_b[s][local_in[a]][local_in[b]]]
-                    for b in range(n)
-                )
-                for a in range(n)
-            )
-            for s in range(party.n_states)
-        )
-        return TabularParty(
-            n_symbols=n,
-            initial_state=party.initial_state,
-            next_state=next_state,
-            out_a=out_a,
-            out_b=out_b,
         )
 
 
@@ -193,7 +175,7 @@ class TabularWorld(_TabularBase, WorldStrategy):
     """A world strategy defined by a table: in (from_user, from_server),
     out (to_user, to_server).  States are ints, so local referees
     (:class:`~repro.core.referees.LastStateCompactReferee`) reduce to a
-    per-state flag lookup — which is what the vectorized kernel exploits."""
+    per-state flag lookup."""
 
     def step(
         self, state: int, inbox: WorldInbox, rng: random.Random
@@ -252,7 +234,7 @@ def _build_party(
 
 
 # ---------------------------------------------------------------------------
-# The relay goal: a vectorizable language-mismatch cast.
+# The relay goal: a table-defined language-mismatch cast.
 # ---------------------------------------------------------------------------
 
 #: Rounds from a world emission to the relayed, decoded reply's return:
@@ -419,7 +401,7 @@ def relay_goal(
     latency: int = RELAY_LATENCY,
     settle_fraction: float = 0.5,
 ) -> CompactGoal:
-    """The relay echo goal: a compact goal the vectorized kernel can judge.
+    """The relay echo goal: a compact goal judged by a per-state flag table.
 
     Forgiving in the paper's sense: the world re-challenges forever, so any
     finite prefix of mistakes can be followed by an all-correct tail (the

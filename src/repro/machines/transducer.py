@@ -16,13 +16,10 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, FrozenSet, Iterator, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 from repro.comm.messages import UserInbox, UserOutbox
 from repro.core.strategy import UserStrategy
-
-if TYPE_CHECKING:
-    from repro.core.batch import TabularParty
 
 
 @dataclass(frozen=True)
@@ -139,9 +136,6 @@ class TransducerUser(UserStrategy):
         label: str = "transducer",
     ) -> None:
         self._transducer = transducer
-        # Default wiring (server-channel in, server-channel out) is what the
-        # vectorized batch tier can compile; custom adapters are opaque.
-        self._default_wiring = observe is None and emit is None
         self._observe = observe or (lambda inbox: inbox.from_server)
         self._emit = emit or (lambda symbol: UserOutbox(to_server=symbol))
         self._label = label
@@ -159,63 +153,3 @@ class TransducerUser(UserStrategy):
         symbol = self._observe(inbox)
         new_state, out_symbol = self._transducer.step(state, symbol)
         return new_state, self._emit(out_symbol)
-
-    # -- TabularStrategy protocol (see repro.core.batch) --------------------
-
-    def tabular_symbols(self, inputs: FrozenSet[str]) -> FrozenSet[str]:
-        """Everything the machine can emit (its whole output alphabet)."""
-        if not self._default_wiring:
-            raise ValueError(
-                "TransducerUser with custom observe/emit adapters cannot be "
-                "compiled to tables"
-            )
-        return frozenset(self._transducer.output_alphabet)
-
-    def tabular_party(self, alphabet: Tuple[str, ...]) -> "TabularParty":
-        """Compile the Mealy table over the batch's global alphabet.
-
-        Input indexing follows :meth:`Transducer.symbol_index` exactly
-        (foreign symbols, including silence, read as index 0), so the
-        compiled table reproduces the scalar adapter on any input stream
-        drawn from ``alphabet``.
-        """
-        from repro.core.batch import TabularParty
-
-        if not self._default_wiring:
-            raise ValueError(
-                "TransducerUser with custom observe/emit adapters cannot be "
-                "compiled to tables"
-            )
-        machine = self._transducer
-        n = len(alphabet)
-        local_in = [machine.symbol_index(symbol) for symbol in alphabet]
-        out_index = []
-        for symbol in machine.output_alphabet:
-            if symbol not in alphabet:
-                raise ValueError(f"output symbol missing from alphabet: {symbol!r}")
-            out_index.append(alphabet.index(symbol))
-        next_state = tuple(
-            tuple(
-                tuple(machine.transitions[s][local_in[a]] for _b in range(n))
-                for a in range(n)
-            )
-            for s in range(machine.n_states)
-        )
-        out_a = tuple(
-            tuple(
-                tuple(
-                    out_index[machine.outputs[s][local_in[a]]] for _b in range(n)
-                )
-                for a in range(n)
-            )
-            for s in range(machine.n_states)
-        )
-        silence_row = tuple(tuple(0 for _b in range(n)) for _a in range(n))
-        out_b = tuple(silence_row for _s in range(machine.n_states))
-        return TabularParty(
-            n_symbols=n,
-            initial_state=0,
-            next_state=next_state,
-            out_a=out_a,
-            out_b=out_b,
-        )

@@ -18,13 +18,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, FrozenSet, List, Tuple
+from typing import List, Tuple
 
 from repro.comm.messages import UserInbox, UserOutbox
 from repro.core.strategy import UserStrategy
-
-if TYPE_CHECKING:
-    from repro.core.batch import TabularParty
 
 #: Opcodes.  ``arg`` is meaningful only where noted.
 PUSH = "PUSH"    # push arg
@@ -161,37 +158,3 @@ class VMUser(UserStrategy):
     ) -> Tuple[int, UserOutbox]:
         reply = run_program(self._program, inbox.from_server, max_steps=self._max_steps)
         return state + 1, UserOutbox(to_server=reply)
-
-    # -- TabularStrategy protocol (see repro.core.batch) --------------------
-    #
-    # The program is memoryless, so it compiles to a one-state table whose
-    # output column is the program evaluated on each alphabet symbol at
-    # compile time.  (The scalar adapter's round-counter state is dropped;
-    # the batch tier reports metrics, not final user states.)
-
-    def tabular_symbols(self, inputs: FrozenSet[str]) -> FrozenSet[str]:
-        """Image of the program over every symbol it might receive."""
-        return frozenset(
-            run_program(self._program, symbol, max_steps=self._max_steps)
-            for symbol in inputs
-        )
-
-    def tabular_party(self, alphabet: Tuple[str, ...]) -> "TabularParty":
-        from repro.core.batch import TabularParty
-
-        n = len(alphabet)
-        replies = []
-        for symbol in alphabet:
-            reply = run_program(self._program, symbol, max_steps=self._max_steps)
-            if reply not in alphabet:
-                raise ValueError(f"program output missing from alphabet: {reply!r}")
-            replies.append(alphabet.index(reply))
-        out_a = (tuple(tuple(replies[a] for _b in range(n)) for a in range(n)),)
-        silence_row = tuple(tuple(0 for _b in range(n)) for _a in range(n))
-        return TabularParty(
-            n_symbols=n,
-            initial_state=0,
-            next_state=(tuple(tuple(0 for _b in range(n)) for _a in range(n)),),
-            out_a=out_a,
-            out_b=(silence_row,),
-        )

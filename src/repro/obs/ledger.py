@@ -165,11 +165,11 @@ class RunManifest:
 class SweepManifest:
     """Top-level index of a ledgered sweep: one entry per cell manifest.
 
-    ``backend`` names the executor that dispatched the cells (``serial``,
-    ``process``, ``batch``, ``batch-process``) and ``batch_width`` records
-    the lockstep width for batched backends (``None`` otherwise) — results
-    are backend-independent by contract, so these are provenance, not
-    identity.
+    ``backend`` names the executor that dispatched the cells (``serial``
+    or ``process``) — results are backend-independent by contract, so it
+    is provenance, not identity.  :meth:`from_dict` ignores keys it does
+    not know, so ledgers from older versions, stamped with the retired
+    lockstep backends and their width, still load.
     """
 
     goal: str
@@ -183,7 +183,6 @@ class SweepManifest:
     git_sha: Optional[str] = None
     kind: str = "sweep"
     backend: str = "serial"
-    batch_width: Optional[int] = None
 
     def to_json(self) -> str:
         """Deterministic single-document JSON (trailing newline included)."""

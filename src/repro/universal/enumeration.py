@@ -145,7 +145,7 @@ class EnumerationCursor:
         — invisible to every sensing/switch decision, which go through
         :meth:`get` — so two cursors over the same class are equal however
         much each has materialised.  Universal-user states embed their
-        cursor, and the serve/batch parity suites compare those states
+        cursor, and the serve/stepper parity suites compare those states
         structurally; without this, state equality would degenerate to
         cursor identity.
         """

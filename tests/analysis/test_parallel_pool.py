@@ -1,49 +1,32 @@
-"""The repaired process backend and the batched backends, contract-tested.
+"""The process backend's mechanisms, contract-tested.
 
 Complements ``tests/analysis/test_parallel.py`` (which pins backend parity
 for the legacy API): here we pin the *mechanisms* the perf work added —
 the persistent worker pool, one-time cast pickling with worker-side
-caching, adaptive chunk sizing — plus the :class:`BatchExecutor` /
-:class:`BatchProcessExecutor` backends, the ``batch=`` sweep argument,
-ledger backend stamping, and ``verify_robustness(batch=N)`` parity.
+caching, adaptive chunk sizing — plus ledger backend stamping.
 """
 
 from __future__ import annotations
 
 import pickle
 
-import pytest
-
 import repro.analysis.parallel as parallel_module
-from repro.analysis.batch import BatchExecutor
 from repro.analysis.parallel import (
-    BatchProcessExecutor,
     ProcessExecutor,
-    SerialExecutor,
     build_sweep_cast,
     run_cast_chunk,
 )
 from repro.analysis.runner import CellTask, sweep
-from repro.core.batch import HAVE_NUMPY
-from repro.faults.channel import drop_channel
-from repro.faults.verify import verify_robustness
 from repro.machines.tabular import (
     coded_server_class,
     relay_decoder_class,
     relay_goal,
 )
 from repro.obs.ledger import read_manifest
-from repro.universal.compact import CompactUniversalUser
-from repro.universal.enumeration import ListEnumeration
-from repro.users.control_users import follower_user_class
-from repro.comm.codecs import codec_family
-from repro.worlds.control import control_goal, control_sensing
 
 SYMBOLS = ("a", "b", "c", "d")
 RELAY_GOAL = relay_goal(SYMBOLS)
 RELAY_SERVERS = coded_server_class(SYMBOLS)
-LAW = {"red": "blue", "blue": "red"}
-CONTROL_GOAL = control_goal(LAW)
 
 
 def relay_sweep(**kwargs):
@@ -53,74 +36,17 @@ def relay_sweep(**kwargs):
     )
 
 
-def make_universal():
-    return CompactUniversalUser(
-        ListEnumeration(follower_user_class(codec_family(2))),
-        control_sensing(),
-    )
-
-
-def universal_sweep(**kwargs):
-    from repro.servers.advisors import advisor_server_class
-
-    return sweep(
-        make_universal(), advisor_server_class(LAW, codec_family(2)),
-        CONTROL_GOAL, seeds=(0, 1), max_rounds=200, **kwargs,
-    )
-
-
-class TestBatchExecutorParity:
-    def test_relay_sweep_matches_serial(self):
-        serial = relay_sweep(telemetry=True)
-        for width in (1, 3, 64):
-            batched = relay_sweep(
-                telemetry=True, executor=BatchExecutor(width=width)
-            )
-            assert batched == serial
-
-    def test_scalar_lockstep_tier_with_universal_user(self):
-        """Non-compilable casts fall to scalar lockstep, telemetry intact."""
-        serial = universal_sweep(telemetry=True)
-        batched = universal_sweep(
-            telemetry=True, executor=BatchExecutor(width=4)
-        )
-        assert batched == serial
-
-    def test_batch_kwarg_is_executor_shorthand(self):
-        assert relay_sweep(batch=8) == relay_sweep(
-            executor=BatchExecutor(width=8)
-        )
-
-    def test_batch_with_executor_conflicts(self):
-        with pytest.raises(ValueError):
-            relay_sweep(batch=8, executor=SerialExecutor())
-
-    def test_width_validation(self):
-        with pytest.raises(ValueError):
-            BatchExecutor(width=0)
-        with pytest.raises(ValueError):
-            BatchProcessExecutor(width=0)
-
-    def test_fault_cells_stay_scalar_but_equal(self):
-        """A faults axis de-vectorizes those cells, never their results."""
-        grid = [None, drop_channel(0.1)]
-        serial = relay_sweep(faults=grid)
-        batched = relay_sweep(faults=grid, batch=16)
-        assert batched == serial
-
-
 class TestLedgerStamping:
     def test_serial_backend_stamp(self, tmp_path):
         relay_sweep(ledger_dir=tmp_path)
         manifest = read_manifest(tmp_path / "sweep.json")
         assert manifest.backend == "serial"
-        assert manifest.batch_width is None
 
-    def test_batch_backend_stamp(self, tmp_path):
-        relay_sweep(ledger_dir=tmp_path, batch=8, certify=True)
+    def test_process_backend_stamp(self, tmp_path):
+        with ProcessExecutor(max_workers=2) as executor:
+            relay_sweep(ledger_dir=tmp_path, executor=executor, certify=True)
         manifest = read_manifest(tmp_path / "sweep.json")
-        assert manifest.backend == "batch"
-        assert manifest.batch_width == 8
+        assert manifest.backend == "process"
 
 
 class TestPersistentPool:
@@ -141,13 +67,6 @@ class TestPersistentPool:
         executor = ProcessExecutor(max_workers=1)
         executor.close()
         executor.close()
-
-    def test_batch_process_matches_serial(self):
-        executor = BatchProcessExecutor(max_workers=2, width=8)
-        try:
-            assert relay_sweep(executor=executor) == relay_sweep()
-        finally:
-            executor.close()
 
 
 class TestPoolShutdown:
@@ -243,11 +162,6 @@ class TestAdaptiveChunking:
         executor = ProcessExecutor(max_workers=4)
         assert executor._plan_chunk_size(None, 10) == 3
 
-    def test_batch_process_uses_even_subgrids(self):
-        executor = BatchProcessExecutor(max_workers=4, width=128)
-        assert executor._plan_chunk_size(None, 10) == 3
-        assert executor._plan_chunk_size(0.0001, 10) == 3
-
 
 class TestSweepCastSharing:
     def tasks(self):
@@ -281,10 +195,10 @@ class TestSweepCastSharing:
         blob = pickle.dumps(cast)
         digest = "test-digest-1"
         parallel_module._WORKER_CASTS.clear()
-        first = run_cast_chunk((digest, blob, tuple(refs[:2]), None))
+        first = run_cast_chunk((digest, blob, tuple(refs[:2])))
         assert digest in parallel_module._WORKER_CASTS
         cached = parallel_module._WORKER_CASTS[digest]
-        second = run_cast_chunk((digest, blob, tuple(refs[:2]), None))
+        second = run_cast_chunk((digest, blob, tuple(refs[:2])))
         assert parallel_module._WORKER_CASTS[digest] is cached
         assert [cell for _, cell in first] == [cell for _, cell in second]
         parallel_module._WORKER_CASTS.clear()
@@ -296,52 +210,7 @@ class TestSweepCastSharing:
         blob = pickle.dumps(cast)
         for i in range(parallel_module._WORKER_CAST_LIMIT):
             parallel_module._WORKER_CASTS[f"filler-{i}"] = cast
-        run_cast_chunk(("fresh", blob, tuple(refs[:1]), None))
+        run_cast_chunk(("fresh", blob, tuple(refs[:1])))
         assert len(parallel_module._WORKER_CASTS) == 1
         assert "fresh" in parallel_module._WORKER_CASTS
         parallel_module._WORKER_CASTS.clear()
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="batched chunk needs numpy")
-    def test_cast_chunk_batched_equals_plain(self):
-        tasks = self.tasks()
-        cast, refs = build_sweep_cast(tasks)
-        blob = pickle.dumps(cast)
-        parallel_module._WORKER_CASTS.clear()
-        plain = run_cast_chunk(("d", blob, tuple(refs), None))
-        batched = run_cast_chunk(("d", blob, tuple(refs), 8))
-        assert batched == plain
-        parallel_module._WORKER_CASTS.clear()
-
-
-class TestVerifyRobustnessBatch:
-    GRID = (None, drop_channel(0.05))
-
-    def advisors(self):
-        from repro.servers.advisors import advisor_server_class
-
-        return advisor_server_class(LAW, codec_family(2))
-
-    def test_batched_report_equals_serial(self):
-        serial = verify_robustness(
-            make_universal(), self.advisors(), CONTROL_GOAL, control_sensing(),
-            grid=self.GRID, seeds=(0, 1), max_rounds=150,
-        )
-        batched = verify_robustness(
-            make_universal(), self.advisors(), CONTROL_GOAL, control_sensing(),
-            grid=self.GRID, seeds=(0, 1), max_rounds=150, batch=3,
-        )
-        assert batched == serial
-
-    def test_batched_certify_still_works(self):
-        report = verify_robustness(
-            make_universal(), self.advisors(), CONTROL_GOAL, control_sensing(),
-            grid=(None,), seeds=(0,), max_rounds=150, batch=2, certify=True,
-        )
-        assert report.safe
-
-    def test_batch_validation(self):
-        with pytest.raises(ValueError):
-            verify_robustness(
-                make_universal(), [], CONTROL_GOAL, control_sensing(),
-                grid=(None,), batch=0,
-            )

@@ -1,40 +1,29 @@
-"""The lockstep engine's contract: batching never changes results.
+"""Interleaved-slice parity: sharing a process never changes results.
 
-Scalar lockstep (:func:`run_steppers` over :class:`ExecutionStepper`
-slots) must produce :class:`ExecutionResult` objects equal to the serial
-engine's, field by field, for arbitrary strategies — including RNG
-consumers, halting users, fault channels, every recording policy, and
-strategy objects shared between interleaved slots.  The vectorized kernel
-(:func:`run_tabular_batch`) must report the same verdict arithmetic the
-serial engine + referee produce over compiled casts.  numpy stays
-optional: without it, compilation declines and the scalar tier carries on.
+The session service (:mod:`repro.serve`) multiplexes many executions in
+one thread: each session is an :class:`ExecutionStepper`, the scheduler
+hands them :meth:`~ExecutionStepper.step_many` slices round-robin, and the
+casts share user/server/world objects.  Every stepper driven that way must
+produce an :class:`ExecutionResult` equal, field by field, to
+:func:`run_execution` on the same cast and seed — including RNG consumers,
+halting users, fault channels, both recording policies, and tracer
+streams.  :func:`interleave` is that scheduler pattern in miniature.
 """
 
 from __future__ import annotations
 
 import pytest
 
-import repro.core.batch as batch_module
 from repro.comm.messages import UserOutbox
-from repro.core.batch import (
-    HAVE_NUMPY,
-    compile_tabular_cast,
-    run_tabular_batch,
-)
 from repro.core.execution import (
+    FULL_RECORDING,
     METRICS_RECORDING,
     ExecutionStepper,
     derive_party_seeds,
     run_execution,
-    run_steppers,
 )
 from repro.errors import ExecutionError
 from repro.faults.channel import drop_channel
-from repro.machines.tabular import (
-    coded_server_class,
-    relay_decoder_class,
-    relay_goal,
-)
 from repro.obs.sinks import MemorySink
 from repro.obs.tracer import Tracer
 from repro.users.scripted import ScriptedUser
@@ -47,22 +36,28 @@ from tests.core.helpers import (
 )
 from repro.core.strategy import SilentServer, SilentUser
 
-SYMBOLS = ("a", "b", "c")
+#: Slice sizes the round-robin scheduler hands out: single rounds, slices
+#: that straddle other slots' settles, and one slice bigger than any run.
+SLICES = (1, 3, 50)
 
 
-def serial(user, server, world, **kwargs):
-    return run_execution(user, server, world, **kwargs)
-
-
-def lockstep_one(user, server, world, **kwargs):
-    return run_steppers([ExecutionStepper(user, server, world, **kwargs)])[0]
+def interleave(steppers, rounds):
+    """Round-robin ``step_many(rounds)`` over the live steppers until all
+    settle; results in stepper order."""
+    live = list(steppers)
+    while live:
+        for stepper in live:
+            stepper.step_many(rounds)
+        live = [s for s in live if s.live]
+    return [s.finish() for s in steppers]
 
 
 def assert_executions_equal(got, expected):
-    """Field-wise ExecutionResult equality (UserView lacks ``__eq__``)."""
+    """Field-wise ExecutionResult equality, view type included."""
     assert got.rounds == expected.rounds
     assert got.world_states == expected.world_states
-    assert got.transcript == expected.transcript
+    assert (got.transcript is None) == (expected.transcript is None)
+    assert list(got.transcript or ()) == list(expected.transcript or ())
     assert got.halted == expected.halted
     assert got.user_output == expected.user_output
     assert got.final_user_state == expected.final_user_state
@@ -73,192 +68,139 @@ def assert_executions_equal(got, expected):
     assert type(got.user_view) is type(expected.user_view)
 
 
+def assert_interleaved_parity(user, server, world, slots, **kwargs):
+    """Steppers over one shared cast, one per ``(seed, max_rounds)`` slot,
+    interleaved at every slice size, each equal to its serial run."""
+    expected = [
+        run_execution(user, server, world, seed=seed, max_rounds=rounds, **kwargs)
+        for seed, rounds in slots
+    ]
+    for size in SLICES:
+        got = interleave(
+            [
+                ExecutionStepper(
+                    user, server, world, seed=seed, max_rounds=rounds, **kwargs
+                )
+                for seed, rounds in slots
+            ],
+            size,
+        )
+        for result, reference in zip(got, expected):
+            assert_executions_equal(result, reference)
+
+
 class TestScalarLockstepParity:
     def test_silent_cast(self):
-        expected = serial(SilentUser(), SilentServer(), CountingWorld(),
-                          max_rounds=7, seed=0)
-        got = lockstep_one(SilentUser(), SilentServer(), CountingWorld(),
-                           max_rounds=7, seed=0)
-        assert_executions_equal(got, expected)
+        assert_interleaved_parity(
+            SilentUser(), SilentServer(), CountingWorld(), [(0, 7), (1, 7)]
+        )
 
     def test_rng_consuming_user(self):
         """Per-slot RNG streams match the serial per-party derivation."""
-        for seed in (0, 1, 17):
-            expected = serial(RandomCoinUser(), EchoServer(), CountingWorld(),
-                              max_rounds=9, seed=seed)
-            got = lockstep_one(RandomCoinUser(), EchoServer(), CountingWorld(),
-                               max_rounds=9, seed=seed)
-            assert_executions_equal(got, expected)
+        assert_interleaved_parity(
+            RandomCoinUser(), EchoServer(), CountingWorld(),
+            [(0, 9), (1, 9), (17, 9)],
+        )
 
     def test_halting_user_stops_its_slot_only(self):
-        steppers = [
-            ExecutionStepper(IncrementingUser(limit=3), SilentServer(),
-                             CountingWorld(), seed=0, max_rounds=100),
-            ExecutionStepper(SilentUser(), SilentServer(), CountingWorld(),
-                             seed=0, max_rounds=10),
-        ]
-        halted, full = run_steppers(steppers)
-        assert halted.halted and halted.rounds_executed == 4
-        assert halted.user_output == "sent:3"
-        assert not full.halted and full.rounds_executed == 10
+        for size in SLICES:
+            steppers = [
+                ExecutionStepper(IncrementingUser(limit=3), SilentServer(),
+                                 CountingWorld(), seed=0, max_rounds=100),
+                ExecutionStepper(SilentUser(), SilentServer(), CountingWorld(),
+                                 seed=0, max_rounds=10),
+            ]
+            halted, full = interleave(steppers, size)
+            assert halted.halted and halted.rounds_executed == 4
+            assert halted.user_output == "sent:3"
+            assert not full.halted and full.rounds_executed == 10
 
     def test_fault_channel_parity(self):
-        channel = drop_channel(0.2)
-        expected = serial(ScriptedUser([UserOutbox(to_server="ping")] * 6),
-                          EchoServer(), CountingWorld(),
-                          max_rounds=6, seed=3, channel=channel)
-        got = lockstep_one(ScriptedUser([UserOutbox(to_server="ping")] * 6),
-                           EchoServer(), CountingWorld(),
-                           max_rounds=6, seed=3, channel=drop_channel(0.2))
-        assert_executions_equal(got, expected)
+        """One channel object shared by every slot; each run's fault trace
+        still derives from its own seed."""
+        assert_interleaved_parity(
+            ScriptedUser([UserOutbox(to_server="ping")] * 6),
+            EchoServer(), CountingWorld(),
+            [(3, 6), (4, 6), (5, 4)],
+            channel=drop_channel(0.2),
+        )
 
     def test_recording_policy_parity(self):
-        expected = serial(RandomCoinUser(), EchoServer(), CountingWorld(),
-                          max_rounds=12, seed=5, recording=METRICS_RECORDING)
-        got = lockstep_one(RandomCoinUser(), EchoServer(), CountingWorld(),
-                           max_rounds=12, seed=5, recording=METRICS_RECORDING)
-        assert_executions_equal(got, expected)
+        for recording in (FULL_RECORDING, METRICS_RECORDING):
+            assert_interleaved_parity(
+                RandomCoinUser(), EchoServer(), CountingWorld(),
+                [(5, 12), (6, 5)], recording=recording,
+            )
 
     def test_mixed_batch_matches_pairwise_serial(self):
         """Slots with different seeds and horizons interleave freely.
 
         All slots share one user, server and world object: interleaving
-        steps one slot between two steps of another, which must not leak
+        steps one slot between two slices of another, which must not leak
         through a shared strategy.
         """
-        user, server, world = RandomCoinUser(), EchoServer(), CountingWorld()
-        slots = [(0, 3), (1, 11), (2, 7), (3, 1)]
-        got = run_steppers([
-            ExecutionStepper(user, server, world, seed=s, max_rounds=r)
-            for s, r in slots
-        ])
-        for (seed, rounds), result in zip(slots, got):
-            assert_executions_equal(
-                result,
-                serial(user, server, world, max_rounds=rounds, seed=seed),
-            )
+        assert_interleaved_parity(
+            RandomCoinUser(), EchoServer(), CountingWorld(),
+            [(0, 3), (1, 11), (2, 7), (3, 1)],
+        )
 
     def test_tracer_counters_match_serial(self):
-        sink = MemorySink()
-        tracer = Tracer(sink=sink)
-        serial(ScriptedUser([UserOutbox(to_server="ping")] * 4), EchoServer(),
-               CountingWorld(), max_rounds=4, seed=0, tracer=tracer)
-        batch_sink = MemorySink()
-        lockstep_one(ScriptedUser([UserOutbox(to_server="ping")] * 4),
-                     EchoServer(), CountingWorld(), max_rounds=4, seed=0,
-                     tracer=Tracer(sink=batch_sink))
-        assert [type(e).__name__ for e in batch_sink.events] == [
-            type(e).__name__ for e in sink.events
-        ]
+        """Each slot's tracer sees its own run's event stream, in order,
+        with the serial run's counter totals."""
+        user = ScriptedUser([UserOutbox(to_server="ping")] * 4)
+        server, world = EchoServer(), CountingWorld()
+        seeds = (0, 1)
+        expected = []
+        for seed in seeds:
+            tracer = Tracer(sink=MemorySink())
+            run_execution(user, server, world, max_rounds=4, seed=seed,
+                          tracer=tracer)
+            expected.append(tracer)
+        for size in SLICES:
+            tracers = [Tracer(sink=MemorySink()) for _ in seeds]
+            interleave(
+                [
+                    ExecutionStepper(user, server, world, max_rounds=4,
+                                     seed=seed, tracer=tracer)
+                    for seed, tracer in zip(seeds, tracers)
+                ],
+                size,
+            )
+            for got, reference in zip(tracers, expected):
+                assert got.sink.events == reference.sink.events
+                assert got.counters.snapshot() == reference.counters.snapshot()
 
     def test_empty_batch(self):
-        assert run_steppers([]) == []
+        assert interleave([], 4) == []
+        stepper = ExecutionStepper(SilentUser(), SilentServer(),
+                                   CountingWorld(), max_rounds=3, seed=0)
+        assert stepper.step_many(0) == 0
+        assert stepper.live and stepper.rounds_completed == 0
 
     def test_item_validation(self):
         with pytest.raises(ExecutionError):
             ExecutionStepper(SilentUser(), SilentServer(), CountingWorld(),
                              max_rounds=0)
+        stepper = ExecutionStepper(SilentUser(), SilentServer(),
+                                   CountingWorld(), max_rounds=2)
+        with pytest.raises(ExecutionError):
+            stepper.step_many(-1)
+        assert stepper.step_many(5) == 2
+        assert stepper.step_many(5) == 0  # settled: a no-op, not an error
+        with pytest.raises(ExecutionError):
+            stepper.step()
 
     def test_seed_derivation_matches_engine_observables(self):
         """Same master seed → same user coin stream as the serial engine."""
         u, s, w, _chan = derive_party_seeds(42)
         assert (u, s, w) != (0, 0, 0)
-        a = lockstep_one(RandomCoinUser(), EchoServer(), CountingWorld(),
-                         max_rounds=5, seed=42)
-        b = serial(RandomCoinUser(), EchoServer(), CountingWorld(),
-                   max_rounds=5, seed=42)
-        assert a.transcript == b.transcript
+        [a] = interleave(
+            [ExecutionStepper(RandomCoinUser(), EchoServer(), CountingWorld(),
+                              max_rounds=5, seed=42, record_transcript=True)],
+            2,
+        )
+        b = run_execution(RandomCoinUser(), EchoServer(), CountingWorld(),
+                          max_rounds=5, seed=42, record_transcript=True)
+        assert len(a.transcript) > 0
+        assert list(a.transcript) == list(b.transcript)
         assert_executions_equal(a, b)
-
-
-def relay_cast(user_shift=0, server_shift=0):
-    goal = relay_goal(SYMBOLS)
-    user = relay_decoder_class(SYMBOLS)[user_shift]
-    server = coded_server_class(SYMBOLS)[server_shift]
-    return user, server, goal
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="vectorized tier needs numpy")
-class TestVectorizedKernel:
-    def test_verdict_parity_with_serial_referee(self):
-        """Kernel verdict arithmetic == serial engine + referee, per cell."""
-        goal = relay_goal(SYMBOLS)
-        users = relay_decoder_class(SYMBOLS)
-        servers = coded_server_class(SYMBOLS)
-        casts = []
-        expected = []
-        for user in users:
-            for server in servers:
-                cast = compile_tabular_cast(user, server, goal.world, goal)
-                assert cast is not None
-                casts.append(cast)
-                execution = serial(user, server, goal.world,
-                                   max_rounds=40, seed=0)
-                expected.append(goal.evaluate(execution))
-        outcomes = run_tabular_batch(casts, max_rounds=40)
-        for outcome, verdict in zip(outcomes, expected):
-            assert outcome.achieved == verdict.achieved
-            assert verdict.compact_verdict is not None
-            assert outcome.bad_prefixes == verdict.compact_verdict.bad_prefixes
-            assert (
-                outcome.last_bad_round
-                == verdict.compact_verdict.last_bad_round
-            )
-
-    def test_only_matching_decoder_achieves(self):
-        goal = relay_goal(SYMBOLS)
-        user = relay_decoder_class(SYMBOLS)[1]
-        casts = [
-            compile_tabular_cast(user, server, goal.world, goal)
-            for server in coded_server_class(SYMBOLS)
-        ]
-        outcomes = run_tabular_batch(casts, max_rounds=60)
-        assert [o.achieved for o in outcomes] == [False, True, False]
-
-    def test_message_counters_match_serial_tracer(self):
-        user, server, goal = relay_cast()
-        cast = compile_tabular_cast(user, server, goal.world, goal)
-        [outcome] = run_tabular_batch([cast], max_rounds=30,
-                                      count_messages=True)
-        tracer = Tracer()
-        serial(user, server, goal.world, max_rounds=30, seed=0, tracer=tracer)
-        counters = dict(tracer.counters.snapshot())
-        assert outcome.messages == counters["messages"]
-        assert outcome.message_bytes == counters["message_bytes"]
-
-    def test_compile_declines_on_channel(self):
-        user, server, goal = relay_cast()
-        assert compile_tabular_cast(
-            user, server, goal.world, goal, channel=drop_channel(0.1)
-        ) is None
-
-    def test_compile_declines_on_untabular_party(self):
-        _, server, goal = relay_cast()
-        assert compile_tabular_cast(
-            RandomCoinUser(), server, goal.world, goal
-        ) is None
-
-    def test_batch_validation(self):
-        user, server, goal = relay_cast()
-        cast = compile_tabular_cast(user, server, goal.world, goal)
-        with pytest.raises(ExecutionError):
-            run_tabular_batch([cast], max_rounds=0)
-        assert run_tabular_batch([], max_rounds=5) == []
-
-
-class TestNumpyOptional:
-    def test_compile_declines_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(batch_module, "_np", None)
-        user, server, goal = relay_cast()
-        assert compile_tabular_cast(user, server, goal.world, goal) is None
-
-    def test_kernel_raises_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(batch_module, "_np", None)
-        with pytest.raises(ExecutionError, match="numpy"):
-            run_tabular_batch([], max_rounds=5)
-
-    def test_scalar_lockstep_runs_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(batch_module, "_np", None)
-        got = lockstep_one(SilentUser(), SilentServer(), CountingWorld(),
-                           max_rounds=3, seed=0)
-        assert got.rounds_executed == 3

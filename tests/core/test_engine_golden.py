@@ -1,8 +1,8 @@
 """Golden digests of the execution engine, pinned as literals.
 
-Every execution path in the repository — ``run_execution``, the
-resumable ``ExecutionStepper`` and the ``run_steppers`` lockstep
-scheduler — runs the same round body, so comparing one path against
+Every execution path in the repository — ``run_execution`` and the
+resumable ``ExecutionStepper`` that serve drives in ``step_many``
+slices — runs the same round body, so comparing one path against
 another proves nothing about that body.  This test pins the body itself:
 each cast below runs under both recording policies, with and without a
 fault channel, with and without a tracer, and each run is reduced to a
@@ -15,8 +15,8 @@ The encoding is canonical (no object addresses, sets sorted, floats by
 ``repr``), so the digests do not depend on ``PYTHONHASHSEED``; the last
 test checks that in two fresh interpreters.
 
-Needs only the standard library (no numpy), so the stdlib-only CI job
-runs it too.  Regenerate the table with ``python -m
+Needs only the standard library, so the stdlib-only CI job runs it
+too.  Regenerate the table with ``python -m
 tests.core.test_engine_golden`` — but only for a change that is *meant*
 to alter what the engine computes.
 """

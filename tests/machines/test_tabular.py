@@ -1,11 +1,8 @@
-"""Tabular strategy adapters, the relay cast builders, and machine bridges.
+"""Tabular strategy adapters and the relay cast builders.
 
-The adapters must behave identically on both execution tiers (scalar
-engine and vectorized kernel — compile parity is pinned in
-``tests/core/test_batch.py``); here we pin their scalar semantics, the
-builders' validation, the relay goal's "one achieving cell per matching
-codec" shape, and the :class:`TabularStrategy` bridges grown onto
-:class:`TransducerUser` and :class:`VMUser`.
+Pins the adapters' step semantics, the builders' validation, and the
+relay goal's "one achieving cell per matching codec" shape, both run by
+run and through a serial :func:`~repro.analysis.runner.sweep`.
 """
 
 from __future__ import annotations
@@ -15,17 +12,14 @@ import random
 
 import pytest
 
+from repro.analysis.runner import sweep
 from repro.comm.messages import SILENCE
-from repro.core.batch import (
-    HAVE_NUMPY,
-    TabularParty,
-    TabularStrategy,
-    compile_tabular_cast,
-)
 from repro.core.execution import run_execution
+from repro.core.strategy import ServerStrategy, UserStrategy, WorldStrategy
 from repro.machines.tabular import (
     RELAY_LATENCY,
     StateFlagPredicate,
+    TabularParty,
     TabularUser,
     coded_server,
     coded_server_class,
@@ -34,8 +28,6 @@ from repro.machines.tabular import (
     relay_goal,
     relay_user,
 )
-from repro.machines.transducer import Transducer, TransducerUser
-from repro.machines.vm import JMP, READ, WRITE, Program, VMUser
 
 SYMBOLS = ("x", "y", "z")
 
@@ -64,9 +56,26 @@ class TestAdapters:
         with pytest.raises(ValueError, match="width"):
             TabularUser(one_state_party(2), (SILENCE, "x", "y"), "bad")
 
+    def test_party_tables_are_validated(self):
+        good = one_state_party(2)
+        with pytest.raises(ValueError, match="at least one state"):
+            TabularParty(n_symbols=2, initial_state=0,
+                         next_state=(), out_a=(), out_b=())
+        with pytest.raises(ValueError, match="initial state"):
+            TabularParty(n_symbols=2, initial_state=1, next_state=good.next_state,
+                         out_a=good.out_a, out_b=good.out_b)
+        with pytest.raises(ValueError, match="entry out of range"):
+            TabularParty(n_symbols=2, initial_state=0,
+                         next_state=(((0, 1), (0, 0)),),
+                         out_a=good.out_a, out_b=good.out_b)
+        with pytest.raises(ValueError, match="row width"):
+            TabularParty(n_symbols=2, initial_state=0, next_state=good.next_state,
+                         out_a=(((0,), (0,)),), out_b=good.out_b)
+
     def test_adapters_satisfy_the_protocol(self):
-        user = relay_user(SYMBOLS)
-        assert isinstance(user, TabularStrategy)
+        assert isinstance(relay_user(SYMBOLS), UserStrategy)
+        assert isinstance(coded_server_class(SYMBOLS)[0], ServerStrategy)
+        assert isinstance(cycle_world(SYMBOLS)[0], WorldStrategy)
 
     def test_foreign_symbols_read_as_silence(self):
         user = relay_user(SYMBOLS)
@@ -121,7 +130,7 @@ class TestBuilders:
 
 
 class TestRelayGoalSemantics:
-    """The scalar reference for the cast the kernel vectorizes."""
+    """The relay cast's verdicts, run by run and swept."""
 
     def run_point(self, user_shift, server_shift, max_rounds=60):
         goal = relay_goal(SYMBOLS)
@@ -149,58 +158,13 @@ class TestRelayGoalSemantics:
         assert relay_goal(SYMBOLS).name == "relay-echo[3]"
 
 
-def echo_transducer():
-    return Transducer(
-        input_alphabet=("x", "y"),
-        output_alphabet=("x", "y"),
-        transitions=((0, 0),),
-        outputs=((0, 1),),
-    )
-
-
-class TestMachineBridges:
-    def test_transducer_tabular_symbols(self):
-        user = TransducerUser(echo_transducer())
-        assert user.tabular_symbols(frozenset()) == frozenset(("x", "y"))
-
-    def test_transducer_custom_wiring_refuses(self):
-        user = TransducerUser(
-            echo_transducer(), observe=lambda inbox: inbox.from_world
+    def test_only_matching_decoder_achieves(self):
+        """Across the coded-server class, decoder 1 achieves only against
+        server 1 — on every seed of a serial sweep."""
+        result = sweep(
+            relay_decoder_class(SYMBOLS)[1], coded_server_class(SYMBOLS),
+            relay_goal(SYMBOLS), seeds=(0, 1), max_rounds=60,
         )
-        with pytest.raises(ValueError, match="custom"):
-            user.tabular_symbols(frozenset())
-
-    def test_transducer_party_mirrors_step(self):
-        user = TransducerUser(echo_transducer())
-        alphabet = (SILENCE, "x", "y")
-        party = user.tabular_party(alphabet)
-        assert party.n_symbols == 3
-        # Table(state 0, from_server="y") emits "y" to the server (out_a),
-        # exactly like the scalar adapter's step.
-        assert alphabet[party.out_a[0][2][0]] == "y"
-        # Foreign/silence input reads as the machine's symbol index 0.
-        assert alphabet[party.out_a[0][0][0]] == "x"
-        # Transducers never talk to the world under default wiring.
-        assert all(
-            symbol == 0
-            for plane in party.out_b for row in plane for symbol in row
-        )
-
-    def test_vm_user_tabular_replies(self):
-        echo = Program(((READ, 0), (WRITE, 0), (JMP, 0)))
-        user = VMUser(echo)
-        symbols = user.tabular_symbols(frozenset(("x", "y")))
-        assert symbols == frozenset(("x", "y"))
-        party = user.tabular_party((SILENCE, "x", "y"))
-        assert party.n_states == 1
-        assert party.out_a[0][1][0] == 1  # echo "x" back
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="compile parity needs numpy")
-    def test_machine_users_compile_into_relay_cast(self):
-        """A transducer user that relays via identity decode compiles."""
-        goal = relay_goal(("x", "y"))
-        server = coded_server_class(("x", "y"))[0]
-        user = relay_user(("x", "y"))
-        cast = compile_tabular_cast(user, server, goal.world, goal)
-        assert cast is not None
-        assert SILENCE == cast.alphabet[0]
+        assert [
+            [m.achieved for m in cell.runs] for cell in result.cells
+        ] == [[False, False], [True, True], [False, False]]

@@ -130,6 +130,46 @@ class TestSweepManifestDocument:
         path = write_manifest(manifest, tmp_path / "sweep.json")
         assert read_manifest(path) == manifest
 
+    def test_ledger_from_removed_batch_backend_still_loads(self, tmp_path):
+        """A ``sweep.json`` written before the lockstep backends were
+        removed (backend ``batch``, a ``batch_width`` stamp) reads back:
+        unknown keys are ignored, the backend stays as provenance."""
+        path = tmp_path / "sweep.json"
+        path.write_text(
+            """{
+  "ledger_schema": 1,
+  "goal": "relay-echo[4]",
+  "user": "relay-shift0",
+  "cells": [
+    "cell-000-176800d62c7c.json",
+    "cell-001-a758bf708fa1.json",
+    "cell-002-549254712c8e.json",
+    "cell-003-5bc47c6e3754.json"
+  ],
+  "seeds": [
+    0,
+    1
+  ],
+  "max_rounds": 80,
+  "wall_time_s": 0.015458,
+  "cells_sha256": "ee7a6a4be350bbf2d448ba73ff9063b0184a60593eb5654c2c24ac242da9af58",
+  "repro_version": "1.0.0",
+  "git_sha": "c7ff0cf1eb65935bac2fb5acd0f581400f99b7b2",
+  "kind": "sweep",
+  "backend": "batch",
+  "batch_width": 8
+}
+"""
+        )
+        manifest = read_manifest(path)
+        assert isinstance(manifest, SweepManifest)
+        assert manifest.backend == "batch"
+        assert manifest.goal == "relay-echo[4]"
+        assert len(manifest.cells) == 4
+        assert manifest.seeds == (0, 1)
+        assert manifest.max_rounds == 80
+        assert not hasattr(manifest, "batch_width")
+
 
 class TestGitSha:
     def test_returns_hex_or_none(self):

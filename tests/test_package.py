@@ -90,3 +90,37 @@ class TestPublicSurface:
         server = advisor_server_class(law, codecs)[5]
         result = run_execution(user, server, goal.world, max_rounds=2000, seed=1)
         assert goal.evaluate(result).achieved
+
+    def test_sweep_and_serve_stack_is_stdlib_only(self):
+        """Importing the sweep, fault, obs, serve and machine packages loads
+        no third-party module — in particular no array library, which every
+        sweep process used to import for a tier no paper workload ran.
+
+        Module state is process-global, so this runs in a fresh interpreter
+        and only counts modules loaded by the imports themselves (site
+        hooks may preload their own at start-up).
+        """
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import repro.analysis, repro.faults, repro.obs, repro.serve,"
+            " repro.machines\n"
+            "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            "foreign = sorted(m for m in new - set(sys.stdlib_module_names)"
+            " - {'repro'} if not m.startswith('__'))\n"
+            "assert not foreign, foreign\n"
+        )
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert completed.returncode == 0, completed.stderr
