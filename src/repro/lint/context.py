@@ -1,8 +1,10 @@
 """Per-module analysis context shared by every rule.
 
-One parse per file: the engine builds a :class:`ModuleContext` and hands
-it to each rule, so rules stay cheap (pure AST walks) and consistent
-(every rule sees the same import table and class graph).
+One parse and one walk per file: the engine builds a
+:class:`ModuleContext` — tree, :class:`~repro.lint.index.NodeIndex`,
+import table, class graph, pragmas — and hands it to each rule and to
+the project graph, so rules stay cheap (index reads, no re-walks) and
+consistent (every rule sees the same import table and class graph).
 """
 
 from __future__ import annotations
@@ -11,10 +13,11 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set
 
+from repro.lint.index import NodeIndex
 from repro.lint.pragmas import PragmaIndex, parse_pragmas
 
 
-def _build_import_table(tree: ast.Module) -> Dict[str, str]:
+def _build_import_table(index: NodeIndex) -> Dict[str, str]:
     """Map local names to the dotted path they were imported as.
 
     ``import random`` -> ``{"random": "random"}``;
@@ -26,9 +29,13 @@ def _build_import_table(tree: ast.Module) -> Dict[str, str]:
     resolve the ambient-state modules the rules care about.  Relative
     imports resolve to their stated module path (leading dots dropped),
     which is never one of the watched stdlib modules, so they are inert.
+    A name imported twice keeps the binding seen last in breadth-first
+    order.
     """
     table: Dict[str, str] = {}
-    for node in ast.walk(tree):
+    imports: List[ast.Import | ast.ImportFrom] = [*index.of_type(ast.Import)]
+    imports.extend(index.of_type(ast.ImportFrom))
+    for node in index.walk_order(imports):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 table[alias.asname or alias.name.split(".")[0]] = (
@@ -49,6 +56,7 @@ class ModuleContext:
     path: str
     source: str
     tree: ast.Module
+    index: NodeIndex
     imports: Dict[str, str]
     pragmas: PragmaIndex
     #: Class name -> direct base names (as written), for same-module MRO walks.
@@ -57,20 +65,21 @@ class ModuleContext:
     @classmethod
     def parse(cls, path: str, source: str) -> "ModuleContext":
         tree = ast.parse(source, filename=path)
+        index = NodeIndex(tree)
         context = cls(
             path=path,
             source=source,
             tree=tree,
-            imports=_build_import_table(tree),
+            index=index,
+            imports=_build_import_table(index),
             pragmas=parse_pragmas(source),
         )
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef):
-                context.class_bases[node.name] = [
-                    base_name
-                    for base in node.bases
-                    if (base_name := _base_name(base)) is not None
-                ]
+        for node in index.walk_order(index.of_type(ast.ClassDef)):
+            context.class_bases[node.name] = [
+                base_name
+                for base in node.bases
+                if (base_name := _base_name(base)) is not None
+            ]
         return context
 
     def resolve_call(self, node: ast.AST) -> Optional[str]:
@@ -110,11 +119,6 @@ class ModuleContext:
             seen.add(base)
             stack.extend(self.class_bases.get(base, ()))
         return seen
-
-    def iter_classes(self) -> Iterator[ast.ClassDef]:
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.ClassDef):
-                yield node
 
 
 def _base_name(base: ast.expr) -> Optional[str]:

@@ -3,7 +3,10 @@
 ``graph.py`` answers *who calls whom*; this module answers *what one
 function does with its values*: which names and ``self.*`` attributes
 each statement reads and writes, where the ``await`` points are, and
-which locals are never read again.  The facts are deliberately simple —
+which locals are never read again.  Every fact is read off the module's
+:class:`~repro.lint.index.NodeIndex`; the only traversal here is
+:func:`own_statements`, which follows a function's statement lists, not
+its expressions.  The facts are deliberately simple —
 statement-ordered, path-insensitive — because the rules built on them
 (RL102 lost-update detection, RL2xx dropped-entropy detection) only need
 happens-after relationships that survive any interleaving, not precise
@@ -15,6 +18,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Set, Tuple
+
+from repro.lint.index import NodeIndex
 
 
 def attr_path(node: ast.expr) -> Optional[str]:
@@ -55,10 +60,30 @@ class StatementFacts:
     has_await: bool = False
 
 
-def _iter_own_statements(
+def child_bodies(stmt: ast.stmt) -> List[List[ast.stmt]]:
+    """The nested statement lists of a compound statement: ``body``,
+    ``orelse``, ``finalbody``, then each ``except`` handler's body."""
+    bodies: List[List[ast.stmt]] = []
+    for name in ("body", "orelse", "finalbody"):
+        block = getattr(stmt, name, None)
+        if isinstance(block, list) and block and isinstance(block[0], ast.stmt):
+            bodies.append(block)
+    for handler in getattr(stmt, "handlers", []) or []:
+        bodies.append(handler.body)
+    return bodies
+
+
+def own_statements(
     fn: ast.FunctionDef | ast.AsyncFunctionDef,
 ) -> Iterator[Tuple[ast.stmt, int]]:
-    """(statement, while-depth) pairs in source order, nested defs skipped."""
+    """(statement, while-depth) pairs of ``fn``'s own body, nested
+    ``def``/``class`` statements skipped.
+
+    Each statement comes before its nested blocks, which follow in
+    :func:`child_bodies` order.  ``match`` cases are not descended
+    into: their statements belong to the ``match`` statement's
+    :meth:`~repro.lint.index.NodeIndex.statement_nodes`.
+    """
 
     def visit(
         body: Sequence[ast.stmt], depth: int
@@ -70,43 +95,20 @@ def _iter_own_statements(
                 continue
             yield stmt, depth
             child_depth = depth + 1 if isinstance(stmt, ast.While) else depth
-            for name in ("body", "orelse", "finalbody"):
-                block = getattr(stmt, name, None)
-                if isinstance(block, list) and block:
-                    first = block[0]
-                    if isinstance(first, ast.stmt):
-                        yield from visit(block, child_depth)
-            for handler in getattr(stmt, "handlers", []) or []:
-                yield from visit(handler.body, child_depth)
+            for block in child_bodies(stmt):
+                yield from visit(block, child_depth)
 
     yield from visit(fn.body, 0)
 
 
-def _walk_expressions(stmt: ast.stmt) -> Iterator[ast.AST]:
-    """Expression nodes of one statement, nested defs/lambdas skipped."""
-    stack: List[ast.AST] = [
-        child
-        for child in ast.iter_child_nodes(stmt)
-        if not isinstance(child, ast.stmt)
-    ]
-    while stack:
-        node = stack.pop()
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
-        ):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
 def statement_facts(
-    fn: ast.FunctionDef | ast.AsyncFunctionDef,
+    index: NodeIndex, fn: ast.FunctionDef | ast.AsyncFunctionDef
 ) -> List[StatementFacts]:
     """Statement-ordered read/write/await facts for ``fn``'s own body."""
     result: List[StatementFacts] = []
-    for stmt, depth in _iter_own_statements(fn):
+    for stmt, depth in own_statements(fn):
         facts = StatementFacts(stmt=stmt, while_depth=depth)
-        for node in _walk_expressions(stmt):
+        for node in index.statement_nodes(stmt):
             if isinstance(node, (ast.Await,)):
                 facts.has_await = True
             elif isinstance(node, ast.Attribute):
@@ -123,39 +125,34 @@ def statement_facts(
                 else:
                     facts.name_writes.add(node.id)
         # While/If tests live on the statement node itself and were
-        # covered by _walk_expressions; comprehension generators too.
+        # covered by statement_nodes; comprehension generators too.
         result.append(facts)
     return result
 
 
-def read_names(node: ast.AST) -> Set[str]:
+def read_names(index: NodeIndex, node: ast.AST) -> Set[str]:
     """All Name loads inside ``node`` (nested defs included)."""
     return {
         child.id
-        for child in ast.walk(node)
-        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load)
+        for child in index.within(node, ast.Name)
+        if isinstance(child.ctx, ast.Load)
     }
 
 
-def contains_await(node: ast.AST) -> bool:
+def contains_await(index: NodeIndex, node: ast.AST) -> bool:
     """True when ``node`` contains an Await outside nested functions."""
-    stack: List[ast.AST] = [node]
-    while stack:
-        current = stack.pop()
-        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            if current is not node:
-                continue
-        if isinstance(current, ast.Await):
-            return True
-        stack.extend(ast.iter_child_nodes(current))
-    return False
+    owner = index.function_of(node)
+    return any(
+        index.function_of(found) is owner
+        for found in index.within(node, ast.Await)
+    )
 
 
-def self_attr_reads(node: ast.AST) -> Set[str]:
+def self_attr_reads(index: NodeIndex, node: ast.AST) -> Set[str]:
     """``self.*`` attribute paths read (Load) anywhere inside ``node``."""
     found: Set[str] = set()
-    for child in ast.walk(node):
-        if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+    for child in index.within(node, ast.Attribute):
+        if isinstance(child.ctx, ast.Load):
             path = attr_path(child)
             if path is not None and path.startswith("self."):
                 found.add(path)
@@ -165,7 +162,9 @@ def self_attr_reads(node: ast.AST) -> Set[str]:
 __all__ = [
     "StatementFacts",
     "attr_path",
+    "child_bodies",
     "contains_await",
+    "own_statements",
     "read_names",
     "self_attr_reads",
     "statement_facts",

@@ -42,6 +42,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.context import ModuleContext
+from repro.lint.dataflow import own_statements
+from repro.lint.index import NodeIndex
 
 # --------------------------------------------------------------------------
 # Type references
@@ -199,8 +201,8 @@ class Project:
         for mod in self.modules.values():
             self._collect_symbols(mod)
         self._resolve_bases()
-        for mod in self.modules.values():
-            self._collect_attr_types(mod)
+        for cls in self.classes.values():
+            self._collect_attr_types(cls)
         for info in list(self.functions.values()):
             self._collect_calls(info)
         self._propagate_blocking()
@@ -239,11 +241,15 @@ class Project:
         )
         self.functions.setdefault(qual, info)
         # Nested defs become addressable functions too (closures used as
-        # helpers/callbacks), namespaced under their parent.
-        for child in ast.walk(node):
-            if child is node:
-                continue
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        # helpers/callbacks), namespaced under their parent; of two
+        # same-named ones, the first in ast.walk order wins.
+        index = mod.context.index
+        nested: List[ast.FunctionDef | ast.AsyncFunctionDef] = [
+            *index.within(node, ast.FunctionDef),
+            *index.within(node, ast.AsyncFunctionDef),
+        ]
+        for child in index.walk_order(nested):
+            if child is not node:
                 nested_qual = f"{qual}.<locals>.{child.name}"
                 if nested_qual not in self.functions:
                     self.functions[nested_qual] = FunctionInfo(
@@ -442,60 +448,53 @@ class Project:
             return list(inner.elts)
         return [inner]
 
-    def _collect_attr_types(self, mod: ProjectModule) -> None:
-        """Fill each class's attribute-type table (annotation-first)."""
-        for cls in self.classes.values():
-            if cls.module is not mod:
-                continue
-            # Dataclass fields / class-level annotations.
-            for item in cls.node.body:
-                if isinstance(item, ast.AnnAssign) and isinstance(
-                    item.target, ast.Name
-                ):
-                    if self._is_classvar(item.annotation):
-                        continue
-                    typeref = self._type_from_annotation(mod, item.annotation)
-                    if typeref is not None:
-                        cls.attr_types.setdefault(item.target.id, typeref)
-            # ``self.x = ...`` in method bodies, annotation or inference.
-            for fn in cls.methods.values():
-                env = self._seed_env(mod, fn)
-                for stmt in ast.walk(fn.node):
-                    if isinstance(stmt, ast.AnnAssign):
-                        target = stmt.target
+    def _collect_attr_types(self, cls: ClassInfo) -> None:
+        """Fill one class's attribute-type table (annotation-first)."""
+        mod = cls.module
+        # Dataclass fields / class-level annotations.
+        for item in cls.node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(
+                item.target, ast.Name
+            ):
+                if is_classvar(mod.context.index, item.annotation):
+                    continue
+                typeref = self._type_from_annotation(mod, item.annotation)
+                if typeref is not None:
+                    cls.attr_types.setdefault(item.target.id, typeref)
+        # ``self.x = ...`` in method bodies (nested defs included),
+        # annotation or inference; the first in ast.walk order wins.
+        index = mod.context.index
+        for fn in cls.methods.values():
+            env = self._seed_env(mod, fn)
+            assigns: List[ast.AnnAssign | ast.Assign] = [
+                *index.within(fn.node, ast.AnnAssign),
+                *index.within(fn.node, ast.Assign),
+            ]
+            for stmt in index.walk_order(assigns):
+                if isinstance(stmt, ast.AnnAssign):
+                    target = stmt.target
+                    if (
+                        isinstance(target, ast.Attribute)
+                        and isinstance(target.value, ast.Name)
+                        and target.value.id == "self"
+                    ):
+                        typeref = self._type_from_annotation(
+                            mod, stmt.annotation
+                        )
+                        if typeref is not None:
+                            cls.attr_types.setdefault(target.attr, typeref)
+                else:
+                    for target in stmt.targets:
                         if (
                             isinstance(target, ast.Attribute)
                             and isinstance(target.value, ast.Name)
                             and target.value.id == "self"
                         ):
-                            typeref = self._type_from_annotation(
-                                mod, stmt.annotation
+                            typeref = self._infer_expr(
+                                mod, env, stmt.value, cls.qual
                             )
                             if typeref is not None:
                                 cls.attr_types.setdefault(target.attr, typeref)
-                    elif isinstance(stmt, ast.Assign):
-                        for target in stmt.targets:
-                            if (
-                                isinstance(target, ast.Attribute)
-                                and isinstance(target.value, ast.Name)
-                                and target.value.id == "self"
-                            ):
-                                typeref = self._infer_expr(
-                                    mod, env, stmt.value, cls.qual
-                                )
-                                if typeref is not None:
-                                    cls.attr_types.setdefault(
-                                        target.attr, typeref
-                                    )
-
-    @staticmethod
-    def _is_classvar(annotation: ast.expr) -> bool:
-        for node in ast.walk(annotation):
-            if isinstance(node, ast.Name) and node.id == "ClassVar":
-                return True
-            if isinstance(node, ast.Attribute) and node.attr == "ClassVar":
-                return True
-        return False
 
     def _seed_env(
         self, mod: ProjectModule, fn: FunctionInfo
@@ -604,17 +603,21 @@ class Project:
         mod = info.module
         env = self._seed_env(mod, info)
         self_class = info.class_qual
-        # Statement-ordered walk of the function's own body, updating the
-        # local type environment as assignments bind names.
-        own_nodes = self._own_statements(info.node)
-        for stmt in own_nodes:
-            for node in self._walk_within(stmt):
-                if isinstance(node, ast.Call):
-                    site = self._resolve_call_site(
-                        mod, env, info, node, self_class
-                    )
-                    if site is not None:
-                        info.calls.append(site)
+        index = mod.context.index
+        # Statement-ordered pass over the function's own body, updating
+        # the local type environment as assignments bind names.  Within
+        # a statement, sites are recorded right to left: the first
+        # blocking site is the witness _propagate_blocking reports.
+        for stmt, _depth in own_statements(info.node):
+            calls = [
+                node
+                for node in index.statement_nodes(stmt)
+                if isinstance(node, ast.Call)
+            ]
+            for node in index.right_to_left(calls):
+                site = self._resolve_call_site(mod, env, info, node, self_class)
+                if site is not None:
+                    info.calls.append(site)
             # Update env after scanning the statement (the RHS of an
             # assignment is evaluated with the pre-assignment env).
             if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
@@ -641,42 +644,6 @@ class Project:
                         )
                         if typeref is not None:
                             env[item.optional_vars.id] = typeref
-
-    @staticmethod
-    def _own_statements(
-        fn: ast.FunctionDef | ast.AsyncFunctionDef,
-    ) -> List[ast.stmt]:
-        """All statements of ``fn`` in source order, nested defs excluded."""
-        result: List[ast.stmt] = []
-
-        def visit(body: Sequence[ast.stmt]) -> None:
-            for stmt in body:
-                if isinstance(
-                    stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-                ):
-                    continue
-                result.append(stmt)
-                for child_body in _child_bodies(stmt):
-                    visit(child_body)
-
-        visit(fn.body)
-        return result
-
-    @staticmethod
-    def _walk_within(stmt: ast.stmt) -> Iterator[ast.AST]:
-        """Walk one statement's expressions, skipping nested statements."""
-        stack: List[ast.AST] = []
-        for child in ast.iter_child_nodes(stmt):
-            if not isinstance(child, ast.stmt):
-                stack.append(child)
-        while stack:
-            node = stack.pop()
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
-            ):
-                continue
-            yield node
-            stack.extend(ast.iter_child_nodes(node))
 
     def _resolve_call_site(
         self,
@@ -820,17 +787,15 @@ class Project:
     def call_index(self) -> Dict[str, List[Tuple[ProjectModule, ast.Call]]]:
         """Every call site in the project keyed by its dotted target.
 
-        One walk over all module trees, built lazily and shared by every
-        project rule that needs "who constructs/calls X anywhere".  Bare
-        ``Name`` calls that resolve to nothing imported are keyed as
+        Read off every module's node index, built lazily and shared by
+        every project rule that needs "who constructs/calls X anywhere".
+        Bare ``Name`` calls that resolve to nothing imported are keyed as
         ``<module>.<name>`` (same-module references).
         """
         if self._call_index is None:
             index: Dict[str, List[Tuple[ProjectModule, ast.Call]]] = {}
             for mod in self.modules.values():
-                for node in ast.walk(mod.context.tree):
-                    if not isinstance(node, ast.Call):
-                        continue
+                for node in mod.context.index.of_type(ast.Call):
                     dotted = mod.context.resolve_call(node.func)
                     if dotted is None and isinstance(node.func, ast.Name):
                         dotted = f"{mod.name}.{node.func.id}"
@@ -842,8 +807,8 @@ class Project:
     def name_references(self, module_name: str) -> Set[str]:
         """All identifiers a module references: Name loads + attribute names.
 
-        Built lazily per run (one walk per module) for "does consumer X
-        mention class Y at all" queries.
+        Built lazily per module from its node index, for "does consumer
+        X mention class Y at all" queries.
         """
         if self._module_refs is None:
             self._module_refs = {}
@@ -852,27 +817,25 @@ class Project:
             refs = set()
             mod = self.modules.get(module_name)
             if mod is not None:
-                for node in ast.walk(mod.context.tree):
-                    if isinstance(node, ast.Name) and isinstance(
-                        node.ctx, ast.Load
-                    ):
-                        refs.add(node.id)
-                    elif isinstance(node, ast.Attribute):
-                        refs.add(node.attr)
+                index = mod.context.index
+                refs.update(
+                    node.id
+                    for node in index.of_type(ast.Name)
+                    if isinstance(node.ctx, ast.Load)
+                )
+                refs.update(node.attr for node in index.of_type(ast.Attribute))
             self._module_refs[module_name] = refs
         return refs
 
 
-def _child_bodies(stmt: ast.stmt) -> List[List[ast.stmt]]:
-    """The nested statement lists of a compound statement, in order."""
-    bodies: List[List[ast.stmt]] = []
-    for name in ("body", "orelse", "finalbody"):
-        block = getattr(stmt, name, None)
-        if isinstance(block, list) and block and isinstance(block[0], ast.stmt):
-            bodies.append(block)
-    for handler in getattr(stmt, "handlers", []) or []:
-        bodies.append(handler.body)
-    return bodies
+def is_classvar(index: NodeIndex, annotation: ast.expr) -> bool:
+    """Whether an annotation mentions ``ClassVar`` (a class, not an
+    instance, attribute)."""
+    return any(
+        node.id == "ClassVar" for node in index.within(annotation, ast.Name)
+    ) or any(
+        node.attr == "ClassVar" for node in index.within(annotation, ast.Attribute)
+    )
 
 
 # --------------------------------------------------------------------------
@@ -952,5 +915,6 @@ __all__ = [
     "Project",
     "ProjectModule",
     "build_project",
+    "is_classvar",
     "module_name_for_path",
 ]

@@ -66,6 +66,8 @@ def parse_pragmas(source: str) -> PragmaIndex:
     error separately); in that case nothing is suppressed.
     """
     index = PragmaIndex()
+    if "reprolint" not in source:
+        return index  # no comment can match: skip the tokenizer
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     except (tokenize.TokenError, IndentationError, SyntaxError):

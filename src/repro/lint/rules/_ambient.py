@@ -14,7 +14,7 @@ as explicit parameters.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from repro.lint.context import ModuleContext
 
@@ -74,11 +74,10 @@ def ambient_call(
 
 
 def iter_ambient_calls(
-    context: ModuleContext, root: ast.AST
+    context: ModuleContext, calls: Iterable[ast.Call]
 ) -> Iterator[Tuple[ast.Call, str, str]]:
-    """Every ambient call under ``root`` as ``(node, target, reason)``."""
-    for node in ast.walk(root):
-        if isinstance(node, ast.Call):
-            found = ambient_call(context, node)
-            if found is not None:
-                yield node, found[0], found[1]
+    """Every ambient call among ``calls`` as ``(node, target, reason)``."""
+    for node in calls:
+        found = ambient_call(context, node)
+        if found is not None:
+            yield node, found[0], found[1]

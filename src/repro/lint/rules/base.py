@@ -1,4 +1,4 @@
-"""The rule interface: one code, one invariant, one AST pass."""
+"""The rule interface: one code, one invariant, read off one module context."""
 
 from __future__ import annotations
 

@@ -28,9 +28,6 @@ from repro.lint.rules._ambient import iter_ambient_calls
 from repro.lint.rules.base import Rule
 from repro.lint.violations import Violation
 
-_FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-
-
 def _param_names(fn: ast.AST) -> Set[str]:
     args = fn.args  # type: ignore[attr-defined]
     names = {a.arg for a in args.args + args.kwonlyargs + args.posonlyargs}
@@ -54,35 +51,20 @@ class AmbientNondeterminismRule(Rule):
     )
 
     def check(self, context: ModuleContext) -> Iterator[Violation]:
-        for node, target, reason in iter_ambient_calls(context, context.tree):
+        calls = context.index.of_type(ast.Call)
+        for node, target, reason in iter_ambient_calls(context, calls):
             yield self.violation(
                 context, node.lineno, node.col_offset, f"call to `{target}` {reason}"
             )
-        yield from self._check_rng_construction(context)
+        for node in calls:
+            if context.resolve_call(node.func) == "random.Random":
+                yield from self._judge_random_call(context, node)
         yield from self._check_set_iteration(context)
 
     # -- random.Random construction -------------------------------------
 
-    def _check_rng_construction(self, context: ModuleContext) -> Iterator[Violation]:
-        yield from self._walk_scope(context, context.tree, [])
-
-    def _walk_scope(
-        self, context: ModuleContext, root: ast.AST, param_stack: List[Set[str]]
-    ) -> Iterator[Violation]:
-        for node in ast.iter_child_nodes(root):
-            if isinstance(node, _FUNCTION_NODES):
-                yield from self._walk_scope(
-                    context, node, param_stack + [_param_names(node)]
-                )
-                continue
-            if isinstance(node, ast.Call):
-                target = context.resolve_call(node.func)
-                if target == "random.Random":
-                    yield from self._judge_random_call(context, node, param_stack)
-            yield from self._walk_scope(context, node, param_stack)
-
     def _judge_random_call(
-        self, context: ModuleContext, node: ast.Call, param_stack: List[Set[str]]
+        self, context: ModuleContext, node: ast.Call
     ) -> Iterator[Violation]:
         if not node.args and not node.keywords:
             yield self.violation(
@@ -94,29 +76,25 @@ class AmbientNondeterminismRule(Rule):
                 "in scope)",
             )
             return
-        rng_params = {
+        # Parameters of every def/lambda around the call (defaults and
+        # decorators included, as they sit inside the def node).
+        params = {
             name
-            for params in param_stack
-            for name in params
-            if _is_rng_name(name)
+            for fn in context.index.enclosing_functions(node)
+            for name in _param_names(fn)
         }
+        rng_params = {name for name in params if _is_rng_name(name)}
         if not rng_params:
             return
         referenced = {
-            sub.id for arg in node.args for sub in ast.walk(arg)
-            if isinstance(sub, ast.Name)
-        } | {
             sub.id
-            for kw in node.keywords
-            for sub in ast.walk(kw.value)
-            if isinstance(sub, ast.Name)
+            for arg in [*node.args, *(kw.value for kw in node.keywords)]
+            for sub in context.index.within(arg, ast.Name)
         }
         # `self`/`cls` never carry the threaded randomness — a seed read
         # off `self` is exactly the frozen-stream shape this check exists
         # to catch.
-        all_params = {
-            name for params in param_stack for name in params
-        } - {"self", "cls"}
+        all_params = params - {"self", "cls"}
         if not (referenced & all_params):
             yield self.violation(
                 context,
@@ -131,22 +109,29 @@ class AmbientNondeterminismRule(Rule):
     # -- set iteration ----------------------------------------------------
 
     def _check_set_iteration(self, context: ModuleContext) -> Iterator[Violation]:
-        for node in ast.walk(context.tree):
-            iters: List[ast.expr] = []
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                iters.append(node.iter)
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
-                iters.extend(gen.iter for gen in node.generators)
-            for it in iters:
-                if self._is_set_expression(context, it):
-                    yield self.violation(
-                        context,
-                        it.lineno,
-                        it.col_offset,
-                        "iteration over a set is PYTHONHASHSEED-ordered for "
-                        "str elements; iterate `sorted(...)` (or a list/dict) "
-                        "for a reproducible order",
-                    )
+        index = context.index
+        iters = [loop.iter for loop in index.of_type(ast.For)]
+        iters.extend(loop.iter for loop in index.of_type(ast.AsyncFor))
+        comprehensions: List[
+            ast.ListComp | ast.SetComp | ast.DictComp | ast.GeneratorExp
+        ] = [
+            *index.of_type(ast.ListComp),
+            *index.of_type(ast.SetComp),
+            *index.of_type(ast.DictComp),
+            *index.of_type(ast.GeneratorExp),
+        ]
+        for comp in comprehensions:
+            iters.extend(gen.iter for gen in comp.generators)
+        for it in iters:
+            if self._is_set_expression(context, it):
+                yield self.violation(
+                    context,
+                    it.lineno,
+                    it.col_offset,
+                    "iteration over a set is PYTHONHASHSEED-ordered for "
+                    "str elements; iterate `sorted(...)` (or a list/dict) "
+                    "for a reproducible order",
+                )
 
     @staticmethod
     def _is_set_expression(context: ModuleContext, node: ast.expr) -> bool:

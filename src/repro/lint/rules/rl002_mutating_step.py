@@ -62,7 +62,7 @@ class MutatingStepRule(Rule):
     )
 
     def check(self, context: ModuleContext) -> Iterator[Violation]:
-        for cls in context.iter_classes():
+        for cls in context.index.of_type(ast.ClassDef):
             if not is_strategy_class(context, cls):
                 continue
             for method in iter_methods(cls, _CHECKED_METHODS):
@@ -80,7 +80,7 @@ class MutatingStepRule(Rule):
         targets: "set[str]",
     ) -> Iterator[Violation]:
         where = f"`{cls.name}.{method.name}`"
-        for node in ast.walk(method):
+        for node in context.index.subtree(method):
             if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                 assign_targets = (
                     node.targets

@@ -57,7 +57,7 @@ class SensingPurityRule(Rule):
     )
 
     def check(self, context: ModuleContext) -> Iterator[Violation]:
-        for cls in context.iter_classes():
+        for cls in context.index.of_type(ast.ClassDef):
             if not _is_sensing_class(context, cls):
                 continue
             for method in iter_methods(cls, {"indicate"}):
@@ -65,8 +65,8 @@ class SensingPurityRule(Rule):
                 yield from self._check_body(
                     context, f"`{cls.name}.indicate`", method, view
                 )
-        for node in ast.walk(context.tree):
-            if isinstance(node, ast.Call) and _is_function_sensing(node):
+        for node in context.index.of_type(ast.Call):
+            if _is_function_sensing(node):
                 for arg in list(node.args[:1]) + [
                     kw.value for kw in node.keywords if kw.arg == "fn"
                 ]:
@@ -83,7 +83,7 @@ class SensingPurityRule(Rule):
         view: Optional[str],
     ) -> Iterator[Violation]:
         watched = {"self"} | ({view} if view else set())
-        for node in ast.walk(root):
+        for node in context.index.subtree(root):
             if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                 targets = (
                     node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -133,7 +133,8 @@ class SensingPurityRule(Rule):
                                 f"{where} mutates `{root_name.id}` via "
                                 f"`.{func.attr}(...)`",
                             )
-        for node, target, reason in iter_ambient_calls(context, root):
+        calls = context.index.within(root, ast.Call)
+        for node, target, reason in iter_ambient_calls(context, calls):
             yield self.violation(
                 context,
                 node.lineno,

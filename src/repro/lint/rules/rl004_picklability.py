@@ -22,7 +22,7 @@ through a constructor parameter).
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Set
+from typing import Iterator, List
 
 from repro.lint.context import ModuleContext, attribute_root
 from repro.lint.rules.base import Rule
@@ -39,7 +39,7 @@ class PicklabilityRule(Rule):
     )
 
     def check(self, context: ModuleContext) -> Iterator[Violation]:
-        for cls in context.iter_classes():
+        for cls in context.index.of_type(ast.ClassDef):
             yield from self._check_class_body(context, cls)
             for method in [n for n in cls.body if isinstance(n, ast.FunctionDef)]:
                 yield from self._check_method(context, cls, method)
@@ -76,15 +76,13 @@ class PicklabilityRule(Rule):
     def _check_method(
         self, context: ModuleContext, cls: ast.ClassDef, method: ast.FunctionDef
     ) -> Iterator[Violation]:
-        local_defs: Set[str] = {
-            node.name
-            for node in ast.walk(method)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and node is not method
-        }
-        for node in ast.walk(method):
-            if not isinstance(node, ast.Assign):
-                continue
+        index = context.index
+        nested: List[ast.FunctionDef | ast.AsyncFunctionDef] = [
+            *index.within(method, ast.FunctionDef),
+            *index.within(method, ast.AsyncFunctionDef),
+        ]
+        local_defs = {node.name for node in nested if node is not method}
+        for node in index.within(method, ast.Assign):
             for target in node.targets:
                 if not isinstance(target, ast.Attribute):
                     continue

@@ -46,19 +46,6 @@ def _has_seed_param(fn: ast.FunctionDef) -> bool:
     )
 
 
-def _consumes_randomness(context: ModuleContext, fn: ast.FunctionDef) -> Iterator[ast.Call]:
-    """RNG constructions in ``fn``'s own body (nested defs excluded)."""
-    stack: list = list(ast.iter_child_nodes(fn))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(node, ast.Call):
-            if context.resolve_call(node.func) == "random.Random":
-                yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
 class SeedPlumbingRule(Rule):
     code = "RL005"
     #: Library API only: a test's helper pinning `random.Random(0)` is the
@@ -72,7 +59,7 @@ class SeedPlumbingRule(Rule):
     )
 
     def check(self, context: ModuleContext) -> Iterator[Violation]:
-        for cls in context.iter_classes():
+        for cls in context.index.of_type(ast.ClassDef):
             if cls.name.startswith("_"):
                 continue
             for node in cls.body:
@@ -94,7 +81,12 @@ class SeedPlumbingRule(Rule):
     ) -> Iterator[Violation]:
         if _has_seed_param(fn):
             return
-        for call in _consumes_randomness(context, fn):
+        # Calls in ``fn`` itself: nested defs and lambdas get their own
+        # randomness from ``fn``.
+        calls = context.index.own_calls(fn)
+        for call in calls:
+            if context.resolve_call(call.func) != "random.Random":
+                continue
             yield self.violation(
                 context,
                 call.lineno,
@@ -103,9 +95,7 @@ class SeedPlumbingRule(Rule):
                 "`rng`/`seed` parameter: callers (and sweeps) cannot "
                 "control the stream — plumb the seed through the signature",
             )
-        for call, target, _reason in iter_ambient_calls(context, fn):
-            if _inside_nested_function(fn, call):
-                continue
+        for call, target, _reason in iter_ambient_calls(context, calls):
             yield self.violation(
                 context,
                 call.lineno,
@@ -114,15 +104,3 @@ class SeedPlumbingRule(Rule):
                 "parameter: add one and thread the randomness explicitly",
             )
 
-
-def _inside_nested_function(fn: ast.FunctionDef, target: ast.Call) -> bool:
-    """Whether ``target`` sits inside a def/lambda nested under ``fn``."""
-    for node in ast.walk(fn):
-        if (
-            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
-            and node is not fn
-        ):
-            for sub in ast.walk(node):
-                if sub is target:
-                    return True
-    return False

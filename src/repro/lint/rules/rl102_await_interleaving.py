@@ -32,30 +32,25 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.lint.context import ModuleContext
 from repro.lint.dataflow import (
     attr_path,
+    child_bodies,
     contains_await,
     self_attr_reads,
     statement_facts,
 )
+from repro.lint.index import NodeIndex
 from repro.lint.rules.base import Rule
 from repro.lint.violations import Violation
 
 
-def _iter_async_defs(tree: ast.Module) -> Iterator[ast.AsyncFunctionDef]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.AsyncFunctionDef):
-            yield node
-
-
-def _single_self_attr_source(value: ast.expr) -> Optional[str]:
+def _single_self_attr_source(index: NodeIndex, value: ast.expr) -> Optional[str]:
     """The one ``self.*`` path ``value`` reads, if exactly one and no call.
 
     Calls may return fresh objects each time; only plain reads (possibly
     through arithmetic) count as "a copy of shared state".
     """
-    for node in ast.walk(value):
-        if isinstance(node, ast.Call):
-            return None
-    reads = self_attr_reads(value)
+    if index.within(value, ast.Call):
+        return None
+    reads = self_attr_reads(index, value)
     if len(reads) != 1:
         return None
     return next(iter(reads))
@@ -72,7 +67,7 @@ class AwaitInterleavingRule(Rule):
     )
 
     def check(self, context: ModuleContext) -> Iterator[Violation]:
-        for fn in _iter_async_defs(context.tree):
+        for fn in context.index.of_type(ast.AsyncFunctionDef):
             yield from self._check_split_expressions(context, fn)
             yield from self._check_stale_locals(context, fn)
             yield from self._check_stale_guards(context, fn)
@@ -82,7 +77,7 @@ class AwaitInterleavingRule(Rule):
     def _check_split_expressions(
         self, context: ModuleContext, fn: ast.AsyncFunctionDef
     ) -> Iterator[Violation]:
-        for facts in statement_facts(fn):
+        for facts in statement_facts(context.index, fn):
             stmt = facts.stmt
             if not facts.has_await:
                 continue
@@ -108,7 +103,7 @@ class AwaitInterleavingRule(Rule):
                     if (
                         target is not None
                         and target.startswith("self.")
-                        and target in self_attr_reads(stmt.value)
+                        and target in self_attr_reads(context.index, stmt.value)
                     ):
                         yield self.violation(
                             context,
@@ -127,7 +122,7 @@ class AwaitInterleavingRule(Rule):
         #: local name -> (source attr path, captured-before-await line,
         #: an await has happened since the capture)
         tracked: Dict[str, Tuple[str, int, bool]] = {}
-        for facts in statement_facts(fn):
+        for facts in statement_facts(context.index, fn):
             stmt = facts.stmt
             captured_this_stmt = False
             if (
@@ -136,7 +131,7 @@ class AwaitInterleavingRule(Rule):
                 and isinstance(stmt.targets[0], ast.Name)
                 and not facts.has_await
             ):
-                source = _single_self_attr_source(stmt.value)
+                source = _single_self_attr_source(context.index, stmt.value)
                 if source is not None:
                     tracked[stmt.targets[0].id] = (source, stmt.lineno, False)
                     captured_this_stmt = True
@@ -194,13 +189,13 @@ class AwaitInterleavingRule(Rule):
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             if isinstance(stmt, ast.If) and not in_while:
-                guard_attrs = self_attr_reads(stmt.test)
-                if guard_attrs and not contains_await(stmt.test):
+                guard_attrs = self_attr_reads(context.index, stmt.test)
+                if guard_attrs and not contains_await(context.index, stmt.test):
                     yield from self._scan_guard_body(
                         context, stmt.body, guard_attrs
                     )
             nested_in_while = in_while or isinstance(stmt, ast.While)
-            for block in _blocks(stmt):
+            for block in child_bodies(stmt):
                 yield from self._scan_guards(context, block, nested_in_while)
 
     def _scan_guard_body(
@@ -227,7 +222,7 @@ class AwaitInterleavingRule(Rule):
                     "re-check after resuming (while-loop idiom) or write "
                     "before awaiting",
                 )
-            if contains_await(stmt):
+            if contains_await(context.index, stmt):
                 awaited = True
 
 
@@ -239,23 +234,12 @@ def _aug_op(stmt: ast.AugAssign) -> str:
     }.get(type(stmt.op), "?")
 
 
-def _blocks(stmt: ast.stmt) -> List[List[ast.stmt]]:
-    blocks: List[List[ast.stmt]] = []
-    for name in ("body", "orelse", "finalbody"):
-        block = getattr(stmt, name, None)
-        if isinstance(block, list) and block and isinstance(block[0], ast.stmt):
-            blocks.append(block)
-    for handler in getattr(stmt, "handlers", []) or []:
-        blocks.append(handler.body)
-    return blocks
-
-
 def _linear(body: Sequence[ast.stmt]) -> Iterator[ast.stmt]:
     for stmt in body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         yield stmt
-        for block in _blocks(stmt):
+        for block in child_bodies(stmt):
             yield from _linear(block)
 
 

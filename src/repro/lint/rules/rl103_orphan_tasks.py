@@ -23,7 +23,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator
 
-from repro.lint.dataflow import read_names
+from repro.lint.dataflow import own_statements, read_names
 from repro.lint.graph import FunctionInfo, Project
 from repro.lint.rules.base import ProjectRule
 from repro.lint.violations import Violation
@@ -54,8 +54,8 @@ class OrphanTaskRule(ProjectRule):
         sites: Dict[int, "tuple[str, ...]"] = {
             id(site.node): site.targets for site in fn.calls
         }
-        reads = read_names(fn.node)
-        for stmt in _own_statements(fn.node):
+        reads = read_names(fn.module.context.index, fn.node)
+        for stmt, _depth in own_statements(fn.node):
             if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
                 call = stmt.value
                 if self._is_spawner(fn, call):
@@ -112,19 +112,3 @@ class OrphanTaskRule(ProjectRule):
             and call.func.attr in _SPAWNER_ATTRS
         )
 
-
-def _own_statements(
-    fn: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> Iterator[ast.stmt]:
-    stack: list[ast.stmt] = list(reversed(fn.body))
-    while stack:
-        stmt = stack.pop()
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        yield stmt
-        for name in ("body", "orelse", "finalbody"):
-            block = getattr(stmt, name, None)
-            if isinstance(block, list) and block and isinstance(block[0], ast.stmt):
-                stack.extend(reversed(block))
-        for handler in getattr(stmt, "handlers", []) or []:
-            stack.extend(reversed(handler.body))

@@ -227,16 +227,12 @@ def _classify_uses(
                 if kw_edges:
                     edges.update(kw_edges)
                     transfer_loads.add(id(keyword.value))
-    terminal = False
-    for node in ast.walk(fn.node):
-        if (
-            isinstance(node, ast.Name)
-            and isinstance(node.ctx, ast.Load)
-            and node.id == param
-            and id(node) not in transfer_loads
-        ):
-            terminal = True
-            break
+    terminal = any(
+        isinstance(node.ctx, ast.Load)
+        and node.id == param
+        and id(node) not in transfer_loads
+        for node in fn.module.context.index.within(fn.node, ast.Name)
+    )
     return terminal, edges
 
 

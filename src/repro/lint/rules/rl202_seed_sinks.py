@@ -93,25 +93,11 @@ def _is_seed_expression(node: ast.expr) -> bool:
     return isinstance(node, (ast.Name, ast.Attribute, ast.Constant))
 
 
-def _iter_functions(
-    tree: ast.Module,
-) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
-def _own_calls(
-    fn: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> Iterator[ast.Call]:
-    stack: List[ast.AST] = list(ast.iter_child_nodes(fn))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(node, ast.Call):
-            yield node
-        stack.extend(ast.iter_child_nodes(node))
+def _functions(
+    context: ModuleContext,
+) -> List[ast.FunctionDef | ast.AsyncFunctionDef]:
+    index = context.index
+    return [*index.of_type(ast.FunctionDef), *index.of_type(ast.AsyncFunctionDef)]
 
 
 class SeedSinkRule(Rule):
@@ -125,9 +111,14 @@ class SeedSinkRule(Rule):
     )
 
     def check(self, context: ModuleContext) -> Iterator[Violation]:
-        for fn in _iter_functions(context.tree):
-            reads = read_names(fn)
-            for stmt in ast.walk(fn):
+        index = context.index
+        for fn in _functions(context):
+            reads = read_names(index, fn)
+            statements: List[ast.Expr | ast.Assign] = [
+                *index.within(fn, ast.Expr),
+                *index.within(fn, ast.Assign),
+            ]
+            for stmt in statements:
                 if isinstance(stmt, ast.Expr) and isinstance(
                     stmt.value, ast.Call
                 ):
@@ -182,9 +173,9 @@ class SeedAliasRule(Rule):
     )
 
     def check(self, context: ModuleContext) -> Iterator[Violation]:
-        for fn in _iter_functions(context.tree):
+        for fn in _functions(context):
             by_seed: Dict[str, List[Tuple[ast.Call, str]]] = {}
-            for call in _own_calls(fn):
+            for call in context.index.own_calls(fn):
                 entry = _stream_constructor_seed(context, call)
                 if entry is None:
                     continue

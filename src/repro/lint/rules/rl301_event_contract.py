@@ -33,7 +33,7 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.lint.graph import ClassInfo, Project, ProjectModule
+from repro.lint.graph import ClassInfo, Project, ProjectModule, is_classvar
 from repro.lint.rules.base import ProjectRule
 from repro.lint.violations import Violation
 
@@ -117,19 +117,10 @@ def _payload_fields(project: Project, cls: ClassInfo) -> List[Tuple[str, bool]]:
                 continue
             if not isinstance(item.target, ast.Name):
                 continue
-            if _is_classvar(item.annotation):
+            if is_classvar(info.module.context.index, item.annotation):
                 continue
             result.append((item.target.id, item.value is None))
     return result
-
-
-def _is_classvar(annotation: ast.expr) -> bool:
-    for node in ast.walk(annotation):
-        if isinstance(node, ast.Name) and node.id == "ClassVar":
-            return True
-        if isinstance(node, ast.Attribute) and node.attr == "ClassVar":
-            return True
-    return False
 
 
 def _construction_sites(

@@ -1,8 +1,8 @@
 """Tracers: the single object threaded through an instrumented run.
 
-A tracer bundles a sink (the event stream), a :class:`CounterSet` (running
-totals derived from the events), and a :class:`PhaseTimer` (wall clock).
-Instrumented code holds exactly one reference and calls ``emit``.
+A tracer bundles a sink (the event stream) and a :class:`CounterSet`
+(running totals derived from the events).  Instrumented code holds
+exactly one reference and calls ``emit``.
 
 The contract that keeps the engine fast: every tracer exposes a class-level
 ``enabled`` flag, and instrumented hot loops hoist ``tracer is not None and
@@ -14,10 +14,7 @@ branch per round (benchmarked in ``benchmarks/bench_engine.py``).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Union
-
-if TYPE_CHECKING:
-    from repro.obs.timers import _Span
+from typing import Optional, Union
 
 from repro.obs.counters import CounterSet
 from repro.obs.events import (
@@ -32,7 +29,6 @@ from repro.obs.events import (
     TrialStarted,
 )
 from repro.obs.sinks import NullSink, Sink
-from repro.obs.timers import PhaseTimer
 
 
 class NoopTracer:
@@ -63,7 +59,7 @@ class Tracer:
         Event destination; defaults to :class:`~repro.obs.sinks.NullSink`,
         i.e. a counters-only tracer — the cheapest *on* configuration,
         which is what sweeps use for per-cell telemetry.
-    counters, timers:
+    counters:
         Injectable so several runs can share one accumulator (a sweep cell
         aggregates across seeds this way).
     """
@@ -74,11 +70,9 @@ class Tracer:
         self,
         sink: Optional[Sink] = None,
         counters: Optional[CounterSet] = None,
-        timers: Optional[PhaseTimer] = None,
     ) -> None:
         self.sink = sink if sink is not None else NullSink()
         self.counters = counters if counters is not None else CounterSet()
-        self.timers = timers if timers is not None else PhaseTimer()
 
     def emit(self, event: Event) -> None:
         """Record one event: update counters, then forward to the sink."""
@@ -106,12 +100,8 @@ class Tracer:
             counters.inc("faults_recovered")
         self.sink.emit(event)
 
-    def phase(self, name: str) -> "_Span":
-        """Time a phase: ``with tracer.phase("engine"): ...``."""
-        return self.timers.phase(name)
-
     def close(self) -> None:
-        """Close the sink (counters and timers remain readable)."""
+        """Close the sink (the counters remain readable)."""
         self.sink.close()
 
     def __enter__(self) -> "Tracer":

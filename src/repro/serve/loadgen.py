@@ -13,8 +13,9 @@ policy's choice — ``"park"`` flow-controls the generator,
 
 :class:`LoadReport` carries the capacity-planning figures —
 ``sessions_per_s``, ``rounds_per_s``, the open-session high-water mark,
-and settle-latency percentiles (arrival → settled, so parked time counts,
-as it should for an arriving customer) — and serialises into the
+and settle-latency percentiles (due time → settled, so parked time
+counts, as it should for an arriving customer; exact nearest-rank over
+every session) — and serialises into the
 ``BENCH_serve.json`` shape the bench-regression gate consumes.
 
 :func:`demo_specs` builds the self-contained demo fleets (relay machines,
@@ -37,7 +38,6 @@ from repro.core.goals import Goal
 from repro.core.interfaces import ChannelLike
 from repro.core.strategy import ServerStrategy, UserStrategy
 from repro.errors import ServeError
-from repro.obs.counters import Histogram
 from repro.serve.engine import ServeEngine, SessionHandle, SessionRejected
 from repro.serve.session import SessionOutcome, SessionSpec, derive_session_seeds
 
@@ -157,26 +157,28 @@ async def generate_load(
     time, never ahead of it.  The report reads the engine's counters, so
     pass a *fresh* engine (or accept that earlier traffic folds into the
     figures).  Throughput (``sessions_per_s``) counts settles over the
-    whole run wall-clock; latency is arrival → settled per session.
+    whole run wall-clock.  Latency runs from each session's due time
+    (``start + index / rate``, or ``start`` for a burst) to its settle,
+    so time parked in admission counts; the percentiles are exact
+    nearest-rank figures over every session (:func:`percentile`).
     """
     if admission not in ADMISSION_MODES:
         raise ServeError(
             f"unknown admission mode {admission!r} (expected one of "
             f"{ADMISSION_MODES})"
         )
-    # Streaming quantiles: O(1) memory however many sessions arrive,
-    # where the old per-session latency list grew with the fleet.
-    latency_ms = Histogram("latency_ms")
+    latencies_ms: List[float] = []
 
-    def _stamp(future: "asyncio.Future[SessionOutcome]", arrival: float) -> None:
+    def _stamp(future: "asyncio.Future[SessionOutcome]", due: float) -> None:
         future.add_done_callback(
-            lambda _: latency_ms.observe((time.perf_counter() - arrival) * 1000.0)
+            lambda _: latencies_ms.append((time.perf_counter() - due) * 1000.0)
         )
 
     start = time.perf_counter()
     handles: List[SessionHandle] = []
     rejected = 0
     for index, spec in enumerate(specs):
+        due = start
         if rate > 0.0:
             due = start + index / rate
             delay = due - time.perf_counter()
@@ -192,7 +194,7 @@ async def generate_load(
         except SessionRejected:
             rejected += 1
             continue
-        _stamp(handle.future, time.perf_counter())
+        _stamp(handle.future, due)
         handles.append(handle)
 
     results = await asyncio.gather(
@@ -219,9 +221,9 @@ async def generate_load(
         sessions_per_s=settled / wall if wall > 0 else 0.0,
         rounds_per_s=rounds / wall if wall > 0 else 0.0,
         open_high_water=open_high_water,
-        latency_p50_ms=latency_ms.quantile(0.5),
-        latency_p95_ms=latency_ms.quantile(0.95),
-        latency_p99_ms=latency_ms.quantile(0.99),
+        latency_p50_ms=percentile(latencies_ms, 50.0),
+        latency_p95_ms=percentile(latencies_ms, 95.0),
+        latency_p99_ms=percentile(latencies_ms, 99.0),
     )
 
 

@@ -8,6 +8,8 @@ four scanned trees, the suite fails before the CI gate does.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
@@ -29,9 +31,13 @@ ALL_TREES = [
 
 @pytest.fixture(scope="class")
 def full_scan():
-    """One whole-project scan of the four trees, shared by the tests that
-    read it (each scan rebuilds the call graph)."""
-    return lint_paths(ALL_TREES)
+    """One whole-project scan of the four trees through the CLI, as
+    ``(exit code, parsed --format json report)``, shared by the tests
+    that read it (each scan rebuilds the call graph)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(ALL_TREES + ["--format", "json"])
+    return code, json.loads(out.getvalue())
 
 
 class TestSelfCheck:
@@ -47,19 +53,22 @@ class TestSelfCheck:
         # The full project-level run: module rules + call-graph/dataflow
         # rules (RL1xx/2xx/3xx) over src, tests, benchmarks and the CI
         # scripts — the same invocation the lint-graph CI job gates on.
-        assert full_scan.parse_errors == []
-        assert full_scan.violations == [], "\n".join(
-            v.render() for v in full_scan.violations
+        _code, report = full_scan
+        assert report["parse_errors"] == []
+        assert report["violations"] == [], "\n".join(
+            "{path}:{line}:{col}: {code} {message}".format(**v)
+            for v in report["violations"]
         )
 
     def test_full_scan_is_fast_enough_for_ci(self, full_scan):
         # The CI job budgets 10 s of wall time for the whole-project
         # analysis; leave headroom so slow runners do not flake.
-        assert full_scan.elapsed_s < 10.0
+        _code, report = full_scan
+        assert report["elapsed_s"] < 10.0
 
-    def test_cli_exits_zero_on_the_shipped_tree(self, capsys):
-        assert main(ALL_TREES) == 0
-        capsys.readouterr()
+    def test_cli_exits_zero_on_the_shipped_tree(self, full_scan):
+        code, _report = full_scan
+        assert code == 0
 
     def test_benchmarks_stay_at_or_below_the_recorded_baseline(self):
         # The benchmark tree is linted in report-only mode with a recorded

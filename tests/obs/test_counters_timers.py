@@ -1,4 +1,4 @@
-"""Counters, histograms, and phase timers."""
+"""Counters and histograms."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.obs import CounterSet, PhaseTimer
+from repro.obs import CounterSet
 from repro.obs.counters import (
     BUCKET_GAMMA,
     BUCKET_MAX_INDEX,
@@ -231,26 +231,3 @@ class TestCounterSet:
         snap = cs.snapshot()
         cs.inc("rounds")
         assert snap["rounds"] == 1
-
-
-class TestPhaseTimer:
-    def test_accumulates_with_injected_clock(self):
-        ticks = iter([0.0, 1.5, 10.0, 10.25])
-        timer = PhaseTimer(clock=lambda: next(ticks))
-        with timer.phase("engine"):
-            pass
-        with timer.phase("engine"):
-            pass
-        assert timer.total("engine") == pytest.approx(1.75)
-        assert timer.entries("engine") == 2
-
-    def test_untouched_phase_reads_zero(self):
-        timer = PhaseTimer()
-        assert timer.total("nothing") == 0.0
-        assert timer.entries("nothing") == 0
-
-    def test_real_clock_measures_something_nonnegative(self):
-        timer = PhaseTimer()
-        with timer.phase("noop"):
-            pass
-        assert timer.total("noop") >= 0.0

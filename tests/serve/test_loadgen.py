@@ -128,6 +128,20 @@ class TestGenerateLoad:
         assert report.settled == 4
         assert report.sessions == 10
 
+    def test_parked_time_counts_toward_latency(self):
+        """A burst into a one-slot engine parks every arrival behind the
+        sessions before it, so the last settle is ~the whole run after
+        its due time."""
+        specs = demo_specs("relay", 20, seed=1, max_rounds=30)
+
+        async def go():
+            async with ServeEngine(max_open=1, workers=1) as engine:
+                return await generate_load(engine, specs, admission="park")
+
+        report = asyncio.run(go())
+        assert report.settled == 20
+        assert report.latency_p99_ms >= 0.5 * report.wall_s * 1000.0
+
     def test_rate_paces_arrivals(self):
         specs = demo_specs("relay", 5, seed=1, max_rounds=10)
 
