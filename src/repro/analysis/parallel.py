@@ -13,8 +13,8 @@ and :func:`~repro.analysis.runner.sweep_goals` accept via ``executor=``.
 * :class:`ProcessExecutor` — fans the cells out over a **persistent**
   :class:`concurrent.futures.ProcessPoolExecutor`.  The pool is created
   on first use and reused across ``sweep`` calls (process spawning was
-  the dominant cost of the old per-call pool — the ``parallel_speedup:
-  0.81`` regression in ``BENCH_history.jsonl``); the sweep's shared cast
+  the dominant cost of the old per-call pool, which once measured a
+  0.81× "speed-up" over serial); the sweep's shared cast
   (user/server/goal/channel objects) is pickled **once** into a
   content-addressed blob that each worker unpickles once and caches, so
   per-chunk payloads are light :class:`CellRef` index tuples; and chunk

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import time
+import tokenize
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -150,10 +151,14 @@ def lint_paths(
     entries: List[Tuple[str, str, ModuleContext]] = []
     for filename in _walk(paths):
         try:
-            with open(filename, "r", encoding="utf-8") as handle:
+            # tokenize.open honours a PEP 263 coding cookie (UTF-8 otherwise).
+            with tokenize.open(filename) as handle:
                 source = handle.read()
         except OSError as error:
             report.parse_errors.append(f"{filename}: unreadable: {error}")
+            continue
+        except (SyntaxError, UnicodeDecodeError) as error:
+            report.parse_errors.append(f"{filename}: undecodable: {error}")
             continue
         context = _lint_one(report, filename, source, rules, None)
         if context is not None:

@@ -140,14 +140,20 @@ class NodeIndex:
         """The nodes of one statement's own expressions, in source order.
 
         That is everything under the statement's non-statement children
-        — including the bodies of its ``except`` handlers and ``case``
-        clauses, which hang off such children — except nested ``def``,
-        ``lambda`` and ``class`` nodes and what they contain.
+        — including the bodies of its ``case`` clauses, which hang off
+        such children — except nested ``def``, ``lambda`` and ``class``
+        nodes and what they contain.  Of an ``except`` handler only the
+        type expression counts: its body statements are statements of
+        their own (see :func:`repro.lint.dataflow.own_statements`).
         """
         found: List[ast.AST] = []
         scopes = self._scopes
         for child in ast.iter_child_nodes(stmt):
-            if isinstance(child, _NOT_EXPRESSIONS):
+            if isinstance(child, ast.ExceptHandler):
+                if child.type is None:
+                    continue
+                child = child.type
+            elif isinstance(child, _NOT_EXPRESSIONS):
                 continue
             start = self._pos(child)
             owner = scopes[start]

@@ -119,6 +119,8 @@ class SeedSinkRule(Rule):
                 *index.within(fn, ast.Assign),
             ]
             for stmt in statements:
+                if index.function_of(stmt) is not fn:
+                    continue  # a nested def's statement, checked on its turn
                 if isinstance(stmt, ast.Expr) and isinstance(
                     stmt.value, ast.Call
                 ):

@@ -14,8 +14,7 @@ Subcommands (all stdlib-only, mirroring ``python -m repro.lint``):
 * ``top <source>`` — live serve metrics: tail a ``metrics.jsonl`` file
   or scrape a running engine's admin endpoint (``--follow`` refreshes);
 * ``diff <old> <new>`` — compare two traces (``.jsonl``) or two ledger
-  manifests (``.json``); ``diff --history FILE`` compares the two newest
-  entries of a bench-history file.  ``--fail-on METRIC`` (repeatable,
+  manifests (``.json``).  ``--fail-on METRIC`` (repeatable,
   comma-separable) plus ``--tolerance PCT`` configure which increases
   count as regressions.
 
@@ -34,7 +33,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs.analyze import (
     compute_diff,
-    diff_history,
     metrics_for,
     render_timeline,
     summarize_events,
@@ -112,18 +110,10 @@ def _parser() -> argparse.ArgumentParser:
         help="refresh interval with --follow (default: 2.0)",
     )
 
-    diff = sub.add_parser(
-        "diff",
-        help="compare two traces/manifests, or a bench-history file",
-    )
+    diff = sub.add_parser("diff", help="compare two traces or two manifests")
     diff.add_argument(
-        "inputs", nargs="*", metavar="FILE",
+        "inputs", nargs=2, metavar="FILE",
         help="OLD and NEW: two .jsonl traces or two .json manifests",
-    )
-    diff.add_argument(
-        "--history", metavar="FILE",
-        help="instead of OLD/NEW, diff the two newest entries of this "
-        "bench-history JSONL file",
     )
     diff.add_argument(
         "--fail-on", action="append", metavar="METRIC",
@@ -220,26 +210,16 @@ def _cmd_top(options: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_diff(options: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    fail_on = _split_metrics(options.fail_on)
-    if options.history is not None:
-        if options.inputs:
-            parser.error("diff --history takes no positional inputs")
-        report = diff_history(
-            options.history, fail_on=fail_on, tolerance_pct=options.tolerance
-        )
-    else:
-        if len(options.inputs) != 2:
-            parser.error("diff needs exactly two inputs (or --history FILE)")
-        old_path, new_path = options.inputs
-        report = compute_diff(
-            metrics_for(old_path),
-            metrics_for(new_path),
-            old_source=old_path,
-            new_source=new_path,
-            fail_on=fail_on,
-            tolerance_pct=options.tolerance,
-        )
+def _cmd_diff(options: argparse.Namespace) -> int:
+    old_path, new_path = options.inputs
+    report = compute_diff(
+        metrics_for(old_path),
+        metrics_for(new_path),
+        old_source=old_path,
+        new_source=new_path,
+        fail_on=_split_metrics(options.fail_on),
+        tolerance_pct=options.tolerance,
+    )
     if options.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -261,7 +241,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_certify(options)
         if options.command == "top":
             return _cmd_top(options)
-        return _cmd_diff(options, parser)
+        return _cmd_diff(options)
     except (OSError, ValueError, KeyError, TypeError) as error:
         # ValueError covers JSONDecodeError, TraceSchemaError, and
         # LedgerSchemaError; KeyError/TypeError cover malformed events.

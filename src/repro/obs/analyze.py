@@ -2,10 +2,10 @@
 
 The library behind ``python -m repro.obs`` (see ``repro/obs/__main__``).
 Everything here consumes the *recorded* artefacts — JSONL traces written
-by :class:`~repro.obs.sinks.JsonlSink`, manifests written by
-:mod:`repro.obs.ledger`, bench history files — and produces plain-data
-reports, so the same functions back the CLI's text and JSON outputs and
-the test suite's assertions.
+by :class:`~repro.obs.sinks.JsonlSink` and manifests written by
+:mod:`repro.obs.ledger` — and produces plain-data reports, so the same
+functions back the CLI's text and JSON outputs and the test suite's
+assertions.
 
 Three report shapes:
 
@@ -15,9 +15,9 @@ Three report shapes:
 * a timeline — :func:`render_timeline` turns an event stream into one
   plain-text line per event, in stream order, for eyeballing a run;
 * :class:`DiffReport` — :func:`compute_diff` compares two metric
-  dictionaries (from traces, manifests, or bench-history entries) and
-  flags *configured* regressions: a metric named in ``fail_on`` whose new
-  value exceeds the old by more than ``tolerance`` percent.
+  dictionaries (from traces or manifests) and flags *configured*
+  regressions: a metric named in ``fail_on`` whose new value exceeds the
+  old by more than ``tolerance`` percent.
 
 This module is analysis-side: nothing on the tracing-off hot path
 imports it (see the lazy re-exports in ``repro/obs/__init__``).
@@ -25,7 +25,6 @@ imports it (see the lazy re-exports in ``repro/obs/__init__``).
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -462,56 +461,11 @@ def metrics_for(path: Union[str, Path]) -> Dict[str, Any]:
     )
 
 
-def history_entries(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Parse a bench-history JSONL file (one ``{manifest, metrics}`` per line)."""
-    resolved = Path(path)
-    entries: List[Dict[str, Any]] = []
-    with resolved.open("r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            document = json.loads(line)
-            if not isinstance(document, dict) or "metrics" not in document:
-                raise ValueError(
-                    f"{resolved}:{number}: history entries must be JSON "
-                    f"objects with a 'metrics' key"
-                )
-            entries.append(document)
-    return entries
-
-
-def diff_history(
-    path: Union[str, Path],
-    *,
-    fail_on: Sequence[str] = (),
-    tolerance_pct: float = 0.0,
-) -> DiffReport:
-    """Diff the two newest entries of a bench-history file."""
-    entries = history_entries(path)
-    if len(entries) < 2:
-        raise ValueError(
-            f"{path}: need at least 2 history entries to diff, "
-            f"found {len(entries)}"
-        )
-    old, new = entries[-2], entries[-1]
-    return compute_diff(
-        old["metrics"],
-        new["metrics"],
-        old_source=f"{path} entry {len(entries) - 1}",
-        new_source=f"{path} entry {len(entries)}",
-        fail_on=fail_on,
-        tolerance_pct=tolerance_pct,
-    )
-
-
 __all__ = [
     "DiffEntry",
     "DiffReport",
     "TraceSummary",
     "compute_diff",
-    "diff_history",
-    "history_entries",
     "manifest_metrics",
     "metrics_for",
     "render_timeline",

@@ -281,7 +281,7 @@ def write_metrics(
 
     Merges ``payload`` over whatever object the file already holds (so a
     re-run refreshes its own fields without erasing keys another tool
-    parked there — the ``BENCH_serve.json`` discipline), then stamps
+    parked there), then stamps
     ``metrics_schema`` and the ``git_sha`` (pass a pre-computed SHA to
     avoid the ``git rev-parse`` subprocess — the serve engine hands over
     its warmed cache).  Returns the merged object as written.

@@ -16,7 +16,7 @@ touching the next.  This package is the service form of the same model:
   graceful drain, and :class:`~repro.obs.counters.CounterSet` telemetry;
 * :mod:`repro.serve.loadgen` — open-loop traffic over a grid of session
   specs, reporting throughput and latency percentiles
-  (``python -m repro.serve`` is its CLI, writing ``BENCH_serve.json``).
+  (``python -m repro.serve`` is its CLI).
 
 Parity contract: a session stepped through the engine produces a
 bitwise-identical :class:`~repro.core.execution.ExecutionResult` to

@@ -7,9 +7,7 @@ capacity figures::
     python -m repro.serve --sessions 1200 --family mixed --horizon 160
     python -m repro.serve --sessions 200 --drop 0.1 --ledger runs/ --trace
 
-``--out BENCH_serve.json`` writes the report in the bench-baseline shape
-consumed by ``benchmarks/check_bench_regression.py --metric
-sessions_per_s``; ``--format json`` prints the same payload to stdout.
+``--format json`` prints the report as one JSON document on stdout.
 ``--ledger DIR`` makes every session write a manifest (add ``--trace``
 for certifiable traces, ``--certify`` to re-check each one on the spot).
 
@@ -115,26 +113,10 @@ def _parser() -> argparse.ArgumentParser:
         "their last N events under <ledger>/flight/ (needs --ledger)",
     )
     parser.add_argument(
-        "--out", type=Path, metavar="FILE",
-        help="merge the report into this JSON baseline (BENCH_serve.json)",
-    )
-    parser.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="stdout rendering (default text)",
     )
     return parser
-
-
-def _merge_baseline(path: Path, fields: Dict[str, Any]) -> None:
-    """Merge ``fields`` into ``path`` the way the sweep bench composes
-    BENCH_sweep.json — existing keys survive unless overwritten."""
-    payload: Dict[str, Any] = {}
-    if path.exists():
-        loaded = json.loads(path.read_text(encoding="utf-8"))
-        if isinstance(loaded, dict):
-            payload = loaded
-    payload.update(fields)
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def _render_text(payload: Dict[str, Any]) -> str:
@@ -206,8 +188,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "cores": os.cpu_count() or 1,
         }
     )
-    if args.out is not None:
-        _merge_baseline(args.out, payload)
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:

@@ -15,8 +15,8 @@ policy's choice — ``"park"`` flow-controls the generator,
 ``sessions_per_s``, ``rounds_per_s``, the open-session high-water mark,
 and settle-latency percentiles (due time → settled, so parked time
 counts, as it should for an arriving customer; exact nearest-rank over
-every session) — and serialises into the
-``BENCH_serve.json`` shape the bench-regression gate consumes.
+every session) — and serialises into the plain-data payload that
+``python -m repro.serve --format json`` prints.
 
 :func:`demo_specs` builds the self-contained demo fleets (relay machines,
 control followers, universal users, or a mix) used by the CLI, the bench,
@@ -104,7 +104,7 @@ def percentile(values: Sequence[float], q: float) -> float:
 
 @dataclass(frozen=True)
 class LoadReport:
-    """One load run's capacity figures (the ``BENCH_serve.json`` shape)."""
+    """One load run's capacity figures."""
 
     sessions: int
     settled: int
@@ -121,7 +121,7 @@ class LoadReport:
     latency_p99_ms: float
 
     def to_payload(self) -> Dict[str, Any]:
-        """Plain-data form for ``BENCH_serve.json`` / bench history."""
+        """Plain-data form (the CLI's ``--format json`` payload)."""
         payload: Dict[str, Any] = {
             "sessions": self.sessions,
             "settled": self.settled,

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.lint import lint_paths
 from repro.lint.cli import main
 from repro.lint.rules import rule_codes
 
@@ -47,6 +48,18 @@ class TestExitCodes:
         path = write(tmp_path, "broken.py", "def broken(:\n")
         assert main([path]) == 2
         assert "syntax error" in capsys.readouterr().out
+
+    def test_non_utf8_source_is_a_parse_error_not_a_crash(self, tmp_path):
+        write(tmp_path, "clean.py", CLEAN)
+        # A PEP 263 cookie is honoured; latin-1 bytes without one are not UTF-8.
+        declared = "# -*- coding: latin-1 -*-\n# caf\xe9\n" + DIRTY
+        (tmp_path / "declared.py").write_bytes(declared.encode("latin-1"))
+        (tmp_path / "undeclared.py").write_bytes("# caf\xe9\n".encode("latin-1"))
+        report = lint_paths([str(tmp_path)])
+        assert report.files_scanned == 2
+        assert {Path(v.path).name for v in report.violations} == {"declared.py"}
+        assert len(report.parse_errors) == 1
+        assert "undeclared.py: undecodable" in report.parse_errors[0]
 
     def test_report_only_always_exits_zero(self, tmp_path, capsys):
         path = write(tmp_path, "dirty.py", DIRTY)

@@ -72,6 +72,28 @@ class TestFlagged:
         # Both the open() and the handle.write() hit the loop.
         assert [v.code for v in found] == ["RL101", "RL101"]
 
+    def test_except_bodies_are_reported_once(self):
+        found = rl101(
+            """
+            import subprocess
+            import time
+
+            async def serve():
+                try:
+                    pass
+                except OSError:
+                    time.sleep(1)
+                try:
+                    try:
+                        pass
+                    except ValueError:
+                        subprocess.run(["true"])
+                except KeyError:
+                    pass
+            """
+        )
+        assert [(v.line, v.code) for v in found] == [(9, "RL101"), (14, "RL101")]
+
     def test_scripts_tree_is_in_scope(self):
         assert [v.code for v in rl101(
             """

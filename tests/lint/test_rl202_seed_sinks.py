@@ -38,6 +38,20 @@ class TestDroppedDerivation:
         assert [v.code for v in found] == ["RL202"]
         assert "`child`" in found[0].message
 
+    def test_nested_def_draw_is_reported_once(self):
+        found = run(
+            """
+            def outer(rng):
+                def middle():
+                    def inner():
+                        rng.getrandbits(64)
+                    return inner
+                return middle
+            """,
+            "RL202",
+        )
+        assert [(v.line, v.code) for v in found] == [(5, "RL202")]
+
     def test_used_draw_is_clean(self):
         assert run(
             """

@@ -42,10 +42,19 @@ def trace(tmp_path):
     return path
 
 
-def write_history(path, *metric_dicts):
-    with path.open("w", encoding="utf-8") as handle:
-        for metrics in metric_dicts:
-            handle.write(json.dumps({"manifest": {}, "metrics": metrics}) + "\n")
+def write_manifests(directory, old_rounds, new_rounds):
+    """Two run manifests that differ only in ``rounds``; returns the paths."""
+    from repro.obs.ledger import RunManifest, write_manifest
+
+    paths = []
+    for name, rounds in (("old", old_rounds), ("new", new_rounds)):
+        manifest = RunManifest(
+            kind="run", goal="g", user="u", server="s", channel=None,
+            recording="full", seeds=(0,), max_rounds=200, rounds=rounds,
+            achieved=1, halted=1, wall_time_s=0.1, cpu_time_s=0.1,
+        )
+        paths.append(str(write_manifest(manifest, directory / f"{name}.json")))
+    return paths
 
 
 class TestSummarize:
@@ -124,39 +133,20 @@ class TestDiff:
         assert "verdict: ok" in capsys.readouterr().out
 
     def test_regression_exits_1(self, tmp_path, capsys):
-        history = tmp_path / "hist.jsonl"
-        write_history(history, {"rounds": 10}, {"rounds": 15})
-        code = main(["diff", "--history", str(history), "--fail-on", "rounds"])
-        assert code == 1
+        old, new = write_manifests(tmp_path, 10, 15)
+        assert main(["diff", old, new, "--fail-on", "rounds"]) == 1
         assert "REGRESSION" in capsys.readouterr().out
 
     def test_tolerance_allows_small_increase(self, tmp_path):
-        history = tmp_path / "hist.jsonl"
-        write_history(history, {"rounds": 100}, {"rounds": 104})
+        old, new = write_manifests(tmp_path, 100, 104)
         assert main([
-            "diff", "--history", str(history),
-            "--fail-on", "rounds", "--tolerance", "5",
+            "diff", old, new, "--fail-on", "rounds", "--tolerance", "5",
         ]) == 0
 
     def test_unwatched_increase_is_reported_not_failed(self, tmp_path, capsys):
-        history = tmp_path / "hist.jsonl"
-        write_history(history, {"rounds": 10, "other": 1}, {"rounds": 15, "other": 1})
-        assert main(["diff", "--history", str(history)]) == 0
+        old, new = write_manifests(tmp_path, 10, 15)
+        assert main(["diff", old, new]) == 0
         assert "10 -> 15" in capsys.readouterr().out
-
-    def test_history_diff_uses_two_newest(self, tmp_path, capsys):
-        history = tmp_path / "hist.jsonl"
-        write_history(history, {"x": 1}, {"x": 2}, {"x": 3})
-        assert main(["diff", "--history", str(history), "--format", "json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["metrics"][0]["old"] == 2
-        assert data["metrics"][0]["new"] == 3
-
-    def test_single_entry_history_exits_2(self, tmp_path, capsys):
-        history = tmp_path / "hist.jsonl"
-        write_history(history, {"x": 1})
-        assert main(["diff", "--history", str(history)]) == 2
-        assert "at least 2" in capsys.readouterr().err
 
     def test_unknown_fail_on_metric_exits_2(self, trace, capsys):
         assert main([

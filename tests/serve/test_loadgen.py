@@ -4,8 +4,7 @@ The generator is measurement plumbing, so the tests pin its arithmetic
 (percentiles, report totals), its determinism (grid order matches the
 sweep's crossing; demo fleets are seed-stable), and both admission modes
 against a deliberately tiny engine.  The CLI tests drive ``main()``
-in-process and check the ``BENCH_serve.json`` contract the bench gate
-consumes.
+in-process and check the report it prints.
 """
 
 from __future__ import annotations
@@ -215,35 +214,29 @@ class TestDemoSpecs:
 
 
 class TestCli:
-    def test_writes_bench_baseline(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_serve.json"
+    def test_json_report_counts_every_session(self, capsys):
         code = serve_main(
             [
                 "--sessions", "30", "--family", "mixed", "--horizon", "40",
-                "--drop", "0.1", "--max-open", "50", "--out", str(out),
+                "--drop", "0.1", "--max-open", "50", "--format", "json",
             ]
         )
         assert code == 0
-        payload = json.loads(out.read_text())
+        payload = json.loads(capsys.readouterr().out)
         assert payload["sessions"] == 30
         assert payload["settled"] == 30
+        assert payload["failed"] == 0
         assert payload["sessions_per_s"] > 0
-        assert "sessions/s" in capsys.readouterr().out
+        assert 1 <= payload["open_high_water"] <= 30
 
-    def test_json_format_and_merge(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_serve.json"
-        out.write_text(json.dumps({"custom_note": "kept"}))
-        code = serve_main(
-            [
-                "--sessions", "6", "--family", "relay", "--horizon", "20",
-                "--out", str(out), "--format", "json",
-            ]
-        )
-        assert code == 0
+    def test_json_format_reports_run_parameters(self, capsys):
+        argv = ["--sessions", "6", "--family", "relay", "--horizon", "20"]
+        assert serve_main(argv + ["--format", "json"]) == 0
         printed = json.loads(capsys.readouterr().out)
         assert printed["sessions"] == 6
-        merged = json.loads(out.read_text())
-        assert merged["custom_note"] == "kept"  # baselines compose
+        assert (printed["family"], printed["horizon"]) == ("relay", 20)
+        assert serve_main(argv) == 0
+        assert "sessions/s" in capsys.readouterr().out
 
     def test_ledger_flags_validated(self, tmp_path):
         with pytest.raises(SystemExit):
